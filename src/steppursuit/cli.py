@@ -6,7 +6,7 @@ Subcommands:
   compare    pursuit vs k-means piecewise means against a known mean path
   verify     run a numerical verification sweep and report the worst violation
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage, input or output error.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ __all__ = ["main", "build_parser", "report_to_json", "report_from_json"]
 
 
 class InputError(Exception):
-    """Bad file, malformed CSV or missing column; maps to exit code 2."""
+    """Unreadable or unwritable file, malformed CSV or missing column; maps to
+    exit code 2."""
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -47,15 +48,18 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp.")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp.")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror}") from e
 
 
 def _read_rows(path: str) -> list[list[str]]:

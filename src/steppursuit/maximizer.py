@@ -6,11 +6,17 @@ the whole unmodulated dictionary restricted to (and in fact attained at)
 windows that start and end on cell boundaries, which is what makes greedy
 pursuit over step functions cheap: no continuous search is needed.
 
-`best_window` is the production routine (prefix sums, O(N^2), vectorised per
-length). `brute_force_best` recomputes every window sum independently with
-compensated summation and exists only to cross-check it. `three_term_max`
-evaluates a third formulation, a pointwise maximum of three window families
-indexed by (n, k), that must agree with both.
+`best_window` is the production routine. It scans window lengths in
+geometric blocks [w, 2w) and bounds, from range maxima and minima of the
+prefix sums, the best score each start can reach in a block; only starts
+whose bound beats the incumbent are evaluated. On inputs whose best windows
+are short that costs O(N log N) plus the surviving windows; when most starts
+survive a block it scans that block densely, so the worst case stays the
+O(N^2) of the plain per-length scan. The result is the exact argmax, tie-break
+included, bit for bit. `brute_force_best` recomputes every window sum
+independently with compensated summation and exists only to cross-check it.
+`three_term_max` evaluates a third formulation, a pointwise maximum of three
+window families indexed by (n, k), that must agree with both.
 """
 
 from __future__ import annotations
@@ -60,6 +66,10 @@ class ScoredAtom:
     signed_sum: float
 
 
+# Cost of one gathered window sum relative to one sum in the per-length slice
+_GATHER_COST = 2.0
+
+
 def _prefix(a: np.ndarray) -> np.ndarray:
     p = np.empty(a.size + 1)
     p[0] = 0.0
@@ -70,23 +80,80 @@ def _prefix(a: np.ndarray) -> np.ndarray:
 def best_window(seq) -> ScoredAtom:
     """Globally best window, ties broken toward smaller length then smaller start.
 
-    One prefix-sum pass, then for each length L a vectorised scan of all
-    N - L + 1 window sums. Lengths are visited in increasing order and only a
-    strictly larger value displaces the incumbent, which realises the
-    tie-break ordering.
+    Lengths are visited in blocks [w, 2w), w = 1, 2, 4, ... With P the
+    prefix sum, a start i reaches the window sums P[j] - P[i] for ends j in
+    [i + w, i + 2w), clipped at N. hi[i] and lo[i] hold the max and min of
+    P[i .. i + w - 1] and are doubled in place after each block, so
+
+        bound_i = max(hi[i + w] - P[i], P[i] - lo[i + w]) / sqrt(w)
+
+    is at least every score |P[j] - P[i]| / sqrt(L) of the start in the
+    block. That holds for the computed floats too: IEEE rounding is
+    monotone, so a larger operand never rounds to a smaller difference or
+    quotient. A start with bound_i <= the incumbent is dropped; its windows
+    could at best tie, and a tie goes to the incumbent's shorter length.
+
+    The surviving starts are evaluated exactly: their window sums are
+    gathered in chunks of about N elements and reduced to a maximum per
+    length. When so many starts survive that the gather would cost more
+    than the per-length slice over all starts, the block runs that slice
+    instead. Within a block the first (shortest) maximising length is
+    taken, and only a strictly larger value displaces the incumbent, which
+    realises the tie-break ordering; the start is the first maximiser at
+    the chosen length.
+
+    Raises ValueError when window sums overflow to a non-finite value.
     """
     a = as_values(seq)
     N = a.size
-    p = _prefix(a)
+    with np.errstate(over="ignore"):
+        p = _prefix(a)
+    if not math.isfinite(float(p.max()) - float(p.min())):
+        raise ValueError("window sums overflow")
+    # ends[i, L] = p[min(i + L, N)]. A window running past cell N reads the
+    # sum of a shorter window with the same start in the same block, which
+    # scores at least as high at a smaller length, so it never wins a block.
+    ends = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((p, np.full(N, p[N]))), N + 1
+    )
+    hi = p.copy()
+    lo = p.copy()
     best_val = -1.0
     best_len = 0
-    for L in range(1, N + 1):
-        sums = p[L:] - p[: N - L + 1]
-        mag = max(sums.max(), -sums.min())
-        val = mag / math.sqrt(L)
-        if val > best_val:
-            best_val = val
-            best_len = L
+    w = 1
+    while w <= N:
+        lengths = np.arange(w, min(2 * w, N + 1))
+        n = N - w + 1  # starts with a window in this block
+        bound = hi[w:] - p[:n]
+        np.maximum(bound, p[:n] - lo[w:], out=bound)
+        bound /= math.sqrt(w)
+        starts = np.flatnonzero(bound > best_val)
+        dense_cost = lengths.size * (N + 1) - int(lengths.sum())
+        if starts.size * lengths.size * _GATHER_COST < dense_cost:
+            mags = np.zeros(lengths.size)
+            chunk = max(1, N // lengths.size)
+            for c in range(0, starts.size, chunk):
+                s = starts[c : c + chunk]
+                d = ends[s, w : w + lengths.size]
+                d -= p[s, None]
+                np.abs(d, out=d)
+                np.maximum(mags, d.max(axis=0), out=mags)
+            vals = mags / np.sqrt(lengths)
+            k = int(vals.argmax())
+            if vals[k] > best_val:
+                best_val = float(vals[k])
+                best_len = int(lengths[k])
+        else:
+            for L in lengths.tolist():
+                sums = p[L:] - p[: N - L + 1]
+                mag = max(sums.max(), -sums.min())
+                val = mag / math.sqrt(L)
+                if val > best_val:
+                    best_val = val
+                    best_len = L
+        np.maximum(hi[:n], hi[w:], out=hi[:n])
+        np.minimum(lo[:n], lo[w:], out=lo[:n])
+        w *= 2
     sums = p[best_len:] - p[: N - best_len + 1]
     i = int(np.abs(sums).argmax())  # argmax returns the first index on ties
     signed = float(sums[i])

@@ -22,6 +22,7 @@ Sweeps:
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -289,6 +290,6 @@ def run_suite(name: str, **params) -> dict:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     fn = SUITES[name]
-    allowed = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+    allowed = inspect.signature(fn).parameters
     kwargs = {k: v for k, v in params.items() if v is not None and k in allowed}
     return fn(**kwargs)

@@ -104,6 +104,33 @@ def test_approx_missing_file(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_approx_overflowing_sums(tmp_path, capsys):
+    # finite values whose window sums overflow are an input error, not inf
+    p = tmp_path / "big.csv"
+    write_csv(p, [[1e308]] * 10)
+    assert main(["approx", str(p), "--column", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "error: window sums overflow" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approx", "{csv}", "--column", "0"],
+        ["verify", "remark", "--trials", "2"],
+    ],
+)
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, argv):
+    p = tmp_path / "vals.csv"
+    write_csv(p, [[1.0], [2.0]])
+    argv = [a.format(csv=p) for a in argv]
+    out = tmp_path / "missing" / "r.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_report_json_round_trip(tmp_path):
     p = tmp_path / "vals.csv"
     write_csv(p, [[x] for x in [0.3, -1.7, 2.2, 2.2, 0.1]])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steppursuit import (
+    ScoredAtom,
     WindowAtom,
     best_window,
     best_window_single_signed,
@@ -15,6 +17,29 @@ from steppursuit import (
 
 seq_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 sequences = st.lists(seq_floats, min_size=1, max_size=48)
+
+
+def dense_best_window(seq) -> ScoredAtom:
+    """The plain per-length scan over every window, kept as the reference the
+    block-bounded best_window must match bit for bit."""
+    a = np.asarray(seq, dtype=float)
+    N = a.size
+    p = np.concatenate(([0.0], np.cumsum(a)))
+    best_val = -1.0
+    best_len = 0
+    for L in range(1, N + 1):
+        sums = p[L:] - p[: N - L + 1]
+        mag = max(sums.max(), -sums.min())
+        val = mag / math.sqrt(L)
+        if val > best_val:
+            best_val = val
+            best_len = L
+    sums = p[best_len:] - p[: N - best_len + 1]
+    i = int(np.abs(sums).argmax())
+    signed = float(sums[i])
+    return ScoredAtom(
+        WindowAtom(i + 1, best_len), abs(signed) / math.sqrt(best_len), signed
+    )
 
 
 def test_window_atom_validation():
@@ -46,6 +71,13 @@ def test_best_window_tie_breaks():
     # all windows of {0,0} score 0; shortest then earliest wins
     got = best_window([0.0, 0.0])
     assert (got.atom.start, got.atom.length) == (1, 1)
+    # 16 fives and 25 fours both score exactly 20, with lengths in the same
+    # block [16, 32); the shorter window wins on either side
+    a = np.concatenate((np.full(16, 5.0), np.zeros(50), np.full(25, 4.0)))
+    for seq, start in ((a, 1), (a[::-1], 76)):
+        got = best_window(seq)
+        assert (got.atom.start, got.atom.length, got.value) == (start, 16, 20.0)
+        assert got == brute_force_best(seq)
 
 
 @pytest.mark.parametrize(
@@ -66,6 +98,29 @@ def test_best_window_trims_low_edge_cell(edge, x, expected):
     got = best_window(a)
     assert (got.atom.start, got.atom.length) == expected
     assert got == brute_force_best(a)
+
+
+@pytest.mark.parametrize(
+    "seq", [np.full(10, 1e308), [-1.5e308, 1.5e308, 1.5e308]]
+)
+def test_best_window_rejects_overflowing_sums(seq):
+    # every value is finite but some window sums are not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="window sums overflow"):
+            best_window(seq)
+
+
+@pytest.mark.parametrize(
+    "N", sorted({2**k + d for k in range(10) for d in (-1, 0, 1)} - {0})
+)
+def test_best_window_block_edges(N):
+    # sizes around the block boundaries 2^k; on noise most starts are pruned,
+    # on a constant level nearly all survive and blocks run the dense scan
+    rng = np.random.default_rng(N)
+    noise = rng.normal(size=N)
+    for a in (noise, 2.0 + 0.1 * noise):
+        assert best_window(a) == dense_best_window(a)
 
 
 def test_single_signed_examples():
@@ -101,6 +156,32 @@ def test_best_window_matches_brute_force_value(seq):
     assert fast.value == abs(fast.signed_sum) / math.sqrt(fast.atom.length)
     window = seq[fast.atom.start - 1 : fast.atom.start - 1 + fast.atom.length]
     assert fast.signed_sum == pytest.approx(math.fsum(window), rel=1e-9, abs=1e-9)
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_best_window_matches_brute_force_on_integer_ties(seq):
+    # integer sums are exact and ties are frequent, so the whole atom,
+    # tie-break included, must agree
+    assert best_window(seq) == brute_force_best(seq)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-1.0, max_value=1.0), st.integers(min_value=-8, max_value=8)
+        ).map(lambda t: t[0] * 10.0 ** t[1]),
+        min_size=1,
+        max_size=200,
+    ),
+    st.one_of(st.just(0.0), st.floats(min_value=-1e9, max_value=1e9)),
+)
+@settings(max_examples=300, deadline=None)
+def test_best_window_matches_dense_scan_with_offsets(xs, offset):
+    # large offsets make prefix-sum differences lose digits; the block scan
+    # must still pick exactly what the per-length scan picks
+    seq = [offset + x for x in xs]
+    assert best_window(seq) == dense_best_window(seq)
 
 
 @given(sequences)
