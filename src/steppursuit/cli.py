@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -137,12 +138,7 @@ def expansion_report(
     rec = reconstruct(expansion)
     return {
         "input": source,
-        "config": {
-            "max_iterations": config.max_iterations,
-            "residual_epsilon": config.residual_epsilon,
-            "coefficient_epsilon": config.coefficient_epsilon,
-            "pre_shift": config.pre_shift,
-        },
+        "config": asdict(config),
         "shift": expansion.shift.shift,
         "terms": [
             {
@@ -230,14 +226,7 @@ def cmd_compare(args) -> int:
 
     report = {
         "input": args.input,
-        "config": {
-            "max_iterations": config.max_iterations,
-            "residual_epsilon": config.residual_epsilon,
-            "coefficient_epsilon": config.coefficient_epsilon,
-            "pre_shift": config.pre_shift,
-            "k": args.k,
-            "seed": args.seed,
-        },
+        "config": {**asdict(config), "k": args.k, "seed": args.seed},
         "pursuit_mse": mse(rec, truth),
         "raw_mse": mse(values, truth),
         "kmeans_mse": mse(km_path, truth),

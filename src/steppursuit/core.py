@@ -42,10 +42,6 @@ class StepFunction:
     coefficients: np.ndarray
     origin: int = 1
 
-    @property
-    def n_cells(self) -> int:
-        return self.coefficients.size
-
 
 @dataclass(frozen=True)
 class ShiftRecord:
@@ -60,9 +56,17 @@ def make_step_function(seq, origin: int = 1) -> StepFunction:
 
 
 def l2_norm(f) -> float:
-    """L2 norm, sqrt(sum a_j^2). Accepts a StepFunction or a raw sequence."""
+    """L2 norm, sqrt(sum a_j^2). Accepts a StepFunction or a raw sequence.
+
+    Raises ValueError when the sum of squares overflows (finite values of
+    magnitude above about 1e154), rather than returning inf.
+    """
     a = f.coefficients if isinstance(f, StepFunction) else as_values(f)
-    return float(np.sqrt(np.dot(a, a)))
+    with np.errstate(over="ignore"):
+        sq = np.dot(a, a)
+    if not np.isfinite(sq):
+        raise ValueError("squared values overflow")
+    return float(np.sqrt(sq))
 
 
 def evaluate(f: StepFunction, x: float) -> float:

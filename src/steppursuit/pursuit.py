@@ -14,7 +14,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ShiftRecord, StepFunction, as_values, l2_norm, make_step_function
+from .core import (
+    ShiftRecord,
+    StepFunction,
+    as_values,
+    l2_norm,
+    make_step_function,
+    shift_mean,
+)
 from .maximizer import WindowAtom, best_window
 
 __all__ = [
@@ -97,16 +104,21 @@ def run_pursuit(seq, config: PursuitConfig) -> GreedyExpansion:
     below coefficient_epsilon (that term is then discarded). With the default
     zero floors this still halts early on an exactly-zero residual or
     selection, since a zero coefficient can never reduce the residual.
+
+    The first window is scanned before the first norm is taken, so input
+    whose window sums overflow (its squares then overflow too) raises
+    "window sums overflow" rather than l2_norm's "squared values overflow".
+    That first scan always runs, even when the input norm is already at or
+    below residual_epsilon and no term is kept.
     """
-    a = as_values(seq)
-    shift = ShiftRecord(float(config.pre_shift)) if config.pre_shift is not None else ShiftRecord(0.0)
-    r = a + shift.shift
+    r, shift = shift_mean(seq, 0.0 if config.pre_shift is None else config.pre_shift)
+    first = pursuit_step(r)
     norms = [l2_norm(r)]
     terms: list[ExpansionTerm] = []
     for m in range(config.max_iterations):
         if norms[-1] <= config.residual_epsilon:
             break
-        term, nxt = pursuit_step(r)
+        term, nxt = first if m == 0 else pursuit_step(r)
         if abs(term.coefficient) <= config.coefficient_epsilon:
             break
         terms.append(replace(term, iteration=m))

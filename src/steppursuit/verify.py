@@ -3,9 +3,11 @@
 Each sweep pits a closed-form claim against a dense grid search over the
 continuous atom parameters (scale t, centre u, frequency xi) for batches of
 random sequences, and reports the worst violation seen. The grid inner
-products are computed by a separate vectorised engine built on cumulative
-integrals, not by the per-atom code in `dictionary`, so the two routes check
-each other.
+products are computed by one vectorised engine, shared by the modulated and
+unmodulated sweeps, not by the per-atom code in `dictionary`, so the two
+routes check each other. It evaluates the cumulative integral of
+f(x) exp(-2 pi i xi x) once per distinct window end u -/+ t/2 and per xi, and
+gathers each window's inner product as a difference of two of those values.
 
 Sweeps:
   theorem2   grid max over unmodulated atoms is attained at the best
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core import as_values, l2_norm, make_step_function
+from .core import as_values, make_step_function
 from .dictionary import (
     WaveformAtom,
     alternating_pair_modulus,
@@ -40,79 +42,62 @@ from .pursuit import PursuitConfig, energy_ledger, run_pursuit
 __all__ = ["SUITES", "run_suite", "grid_max_unmodulated", "grid_max_modulated"]
 
 
-def _boundaries(N: int) -> np.ndarray:
-    # cell j spans [j - 1/2, j + 1/2]; N + 1 boundaries for origin 1
-    return np.arange(N + 1) + 0.5
-
-
-def _cumulative_plain(a: np.ndarray):
-    """S(y) = integral of f from -inf to y, piecewise linear in y."""
-    knots = _boundaries(a.size)
-    vals = np.concatenate(([0.0], np.cumsum(a)))
-
-    def S(y: np.ndarray) -> np.ndarray:
-        return np.interp(y, knots, vals)
-
-    return S
-
-
-def grid_max_unmodulated(values, t_grid, u_grid) -> float:
-    """Max of |<f, G_{t,0,u}>| over the (t, u) grid, via cumulative integrals."""
-    a = as_values(values)
-    S = _cumulative_plain(a)
-    t = np.asarray(t_grid, dtype=float)[:, None]
-    u = np.asarray(u_grid, dtype=float)[None, :]
-    sums = S(u + t / 2.0) - S(u - t / 2.0)
-    return float((np.abs(sums) / np.sqrt(t)).max())
-
-
-def _cumulative_modulated(a: np.ndarray, xi: float):
-    """C(y) = integral of f(x) exp(-2 pi i xi x) up to y, exact per cell."""
+def _cumulative(a: np.ndarray, xi: float, y: np.ndarray) -> np.ndarray:
+    """Integral of f(x) exp(-2 pi i xi x) from -inf to each y, exact per cell."""
     N = a.size
-    b = _boundaries(N)
+    b = np.arange(N + 1) + 0.5  # cell j spans [j - 1/2, j + 1/2]
+    if xi == 0.0:
+        # piecewise linear between the boundaries, flat outside the support
+        return np.interp(y, b, np.concatenate(([0.0], np.cumsum(a))))
     g = math.pi * xi
     # full-cell integrals share the width-1 sinc; phases vary per cell
-    mids = np.arange(1, N + 1)
-    full = np.exp(-2j * g * mids) * (math.sin(g) / g)
+    full = np.exp(-2j * g * np.arange(1, N + 1)) * (math.sin(g) / g)
     cum = np.concatenate(([0.0], np.cumsum(a * full)))
-    total = cum[-1]
-
-    def C(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        out = np.empty(y.shape, dtype=complex)
-        left = y <= b[0]
-        right = y >= b[-1]
-        mid = ~(left | right)
-        out[left] = 0.0
-        out[right] = total
-        ym = y[mid]
-        i = np.searchsorted(b, ym, side="left")  # cell index, 1-based
-        lo = b[i - 1]
-        seg = np.exp(-1j * g * (lo + ym)) * (np.sin(g * (ym - lo)) / g)
-        out[mid] = cum[i - 1] + a[i - 1] * seg
-        return out
-
-    return C
+    # an end left of the support integrates nothing of cell 1, one right of it
+    # all of cell N
+    y = np.clip(y, b[0], b[-1])
+    i = np.clip(np.searchsorted(b, y, side="left"), 1, N)  # cell index, 1-based
+    lo = b[i - 1]
+    seg = np.exp(-1j * g * (lo + y)) * (np.sin(g * (y - lo)) / g)
+    return cum[i - 1] + a[i - 1] * seg
 
 
-def grid_max_modulated(values, t_grid, u_grid, xi_grid) -> float:
-    """Max of |<f, G_{t,xi,u}>| over the (t, u, xi) grid."""
-    a = as_values(values)
+def _grid_max(a: np.ndarray, t_grid, u_grid, xi_grid) -> float:
+    """Max of |<f, G_{t,xi,u}>| over the (t, u, xi) grid.
+
+    The inner product over the window [u - t/2, u + t/2] is a difference of
+    the cumulative integral at its two ends. Grid windows share few distinct
+    ends, so for each xi the integral is evaluated once per distinct end and
+    the differences are gathered by index.
+    """
     t = np.asarray(t_grid, dtype=float)[:, None]
     u = np.asarray(u_grid, dtype=float)[None, :]
     los = u - t / 2.0
     his = u + t / 2.0
+    ends = np.unique(np.concatenate((los.ravel(), his.ravel())))
+    ilo = np.searchsorted(ends, los)
+    ihi = np.searchsorted(ends, his)
+    del los, his  # freed before the per-xi temporaries, to keep peak memory down
     root = np.sqrt(t)
     best = 0.0
     for xi in np.asarray(xi_grid, dtype=float):
-        if xi == 0.0:
-            S = _cumulative_plain(a)
-            vals = np.abs(S(his) - S(los)) / root
-        else:
-            C = _cumulative_modulated(a, xi)
-            vals = np.abs(C(his) - C(los)) / root
+        c = _cumulative(a, xi, ends)
+        vals = c[ihi]
+        vals -= c[ilo]
+        vals = np.abs(vals)
+        vals /= root
         best = max(best, float(vals.max()))
     return best
+
+
+def grid_max_unmodulated(values, t_grid, u_grid) -> float:
+    """Max of |<f, G_{t,0,u}>| over the (t, u) grid."""
+    return _grid_max(as_values(values), t_grid, u_grid, [0.0])
+
+
+def grid_max_modulated(values, t_grid, u_grid, xi_grid) -> float:
+    """Max of |<f, G_{t,xi,u}>| over the (t, u, xi) grid."""
+    return _grid_max(as_values(values), t_grid, u_grid, xi_grid)
 
 
 def _steps(lo: float, hi: float, step: float) -> np.ndarray:

@@ -114,6 +114,25 @@ def test_approx_overflowing_sums(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_approx_overflowing_squares(tmp_path, capsys):
+    # window sums are finite but the squared norm is not: an input error, not inf
+    p = tmp_path / "huge.csv"
+    write_csv(p, [[1e200], [1e200], [-1e200]])
+    assert main(["approx", str(p), "--column", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "error: squared values overflow" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_failure_exits_1(capsys):
+    # grid step 0.3 misses scale 1, so lemma1's grid max falls short of max |a_j|
+    code = main(["verify", "lemma1", "--grid-step", "0.3", "--trials", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "FAIL lemma1" in captured.err
+    assert json.loads(captured.out)["passed"] is False
+
+
 @pytest.mark.parametrize(
     "argv",
     [

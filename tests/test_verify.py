@@ -24,6 +24,41 @@ def test_grid_engine_agrees_with_per_atom_inner_product():
             assert grid == pytest.approx(direct, abs=1e-12)
 
 
+def test_grid_engine_max_over_multi_point_grids():
+    # multi-point grids exercise the gather from the distinct window ends:
+    # lattices whose ends repeat and centres outside the support, and random
+    # grids; the engine's max must equal the max of inner_product over every
+    # (t, u, xi) of the grid
+    rng = np.random.default_rng(22)
+    for k in range(20):
+        n = int(rng.integers(1, 8))
+        a = rng.uniform(-1.0, 1.0, n)
+        f = make_step_function(a)
+        if k % 2 == 0:
+            step = float(rng.choice([0.25, 0.5]))
+            t_grid = np.arange(1, int((n + 1) / step) + 1) * step
+            u_grid = np.arange(-4, int((n + 2) / step) + 1) * step
+        else:
+            t_grid = rng.uniform(0.1, n + 1.0, 5)
+            u_grid = rng.uniform(-1.0, n + 2.0, 6)
+        xi_grid = [0.0, 1.0, float(rng.uniform(-2.0, 2.0))]
+        direct = max(
+            abs(inner_product(f, WaveformAtom(float(t), float(xi), float(u))))
+            for t in t_grid
+            for u in u_grid
+            for xi in xi_grid
+        )
+        assert grid_max_modulated(a, t_grid, u_grid, xi_grid) == pytest.approx(
+            direct, abs=1e-12
+        )
+        unmod = max(
+            abs(inner_product(f, WaveformAtom(float(t), 0.0, float(u))))
+            for t in t_grid
+            for u in u_grid
+        )
+        assert grid_max_unmodulated(a, t_grid, u_grid) == pytest.approx(unmod, abs=1e-12)
+
+
 def test_grid_max_unmodulated_finds_plateau():
     # {0, 3, 3, 3, 0}: the best window is the plateau, value 3 sqrt(3)
     a = [0.0, 3.0, 3.0, 3.0, 0.0]
