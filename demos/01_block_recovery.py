@@ -36,7 +36,7 @@ print("\nenergy ledger (coef^2, residual norm^2):")
 for row in energy_ledger(expansion):
     print(f"  {row[0]:10.4f}  {row[1]:10.4f}")
 
-rec = reconstruct(expansion).coefficients
+rec = reconstruct(expansion)
 print(f"\nMSE of raw noisy signal vs truth: {mse(noisy, signal):.5f}")
 print(f"MSE of reconstruction vs truth:   {mse(rec, signal):.5f}")
 print(f"breakpoints above 0.5 jump: {breakpoints(expansion, threshold=0.5)}")

@@ -11,7 +11,7 @@ from steppursuit import PursuitConfig, mse, reconstruct, run_preset, run_pursuit
 
 out = run_preset("sim1-3state", T=250, seed=1)
 expansion = run_pursuit(out.values, PursuitConfig(max_iterations=11))
-rec = reconstruct(expansion).coefficients
+rec = reconstruct(expansion)
 
 print(f"observed states: {sorted(set(out.states.tolist()))}")
 print(f"raw MSE against the true mean path:            {mse(out.values, out.true_means):.5f}")

@@ -15,7 +15,6 @@ from steppursuit import (
     best_window,
     best_window_single_signed,
     inner_product,
-    make_step_function,
 )
 from steppursuit.verify import grid_max_modulated, grid_max_unmodulated
 
@@ -42,7 +41,7 @@ print(f"  closed-form value:  {scored_b.value:.8f}")
 print(f"  grid over (t, u, xi): {gmax_b:.8f}")
 
 print("\nalternating pair -1, +1 with the full-coverage window:")
-f = make_step_function([-1.0, 1.0])
+f = [-1.0, 1.0]
 for xi in (0.0, 0.25, 0.5):
     direct = abs(inner_product(f, WaveformAtom(2.0, xi, 1.5)))
     closed = alternating_pair_modulus(1.0, 2.0, 0.5, xi)

@@ -22,7 +22,7 @@ print(f"k-means centers: {sorted(round(c, 4) for c in centers.tolist())}  (true 
 print(f"k-means piecewise-mean MSE: {mse(km_path, out.true_means):.5f}")
 
 expansion = run_pursuit(out.values, PursuitConfig(max_iterations=21))
-rec = reconstruct(expansion).coefficients
+rec = reconstruct(expansion)
 print(f"pursuit reconstruction MSE: {mse(rec, out.true_means):.5f}")
 print(f"raw series MSE:             {mse(out.values, out.true_means):.5f}")
 

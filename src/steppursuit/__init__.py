@@ -1,33 +1,14 @@
 """Step-function approximation of scalar sequences by greedy window pursuit."""
 
-from .core import (
-    ShiftRecord,
-    StepFunction,
-    evaluate,
-    l2_norm,
-    make_step_function,
-    shift_mean,
-)
-from .dictionary import (
-    WaveformAtom,
-    alternating_pair_modulus,
-    cell_overlap_integral,
-    inner_product,
-    overlap_interval,
-    partial_window_modulus,
-    two_cell_modulus,
-)
+from .core import l2_norm
+from .dictionary import WaveformAtom, alternating_pair_modulus, inner_product
 from .maximizer import (
-    ScoredAtom,
-    WindowAtom,
     best_window,
     best_window_single_signed,
     brute_force_best,
     three_term_max,
 )
 from .pursuit import (
-    ExpansionTerm,
-    GreedyExpansion,
     PursuitConfig,
     breakpoints,
     energy_ledger,
@@ -35,61 +16,29 @@ from .pursuit import (
     reconstruct,
     run_pursuit,
 )
-from .simulate import (
-    ARSpec,
-    PRESETS,
-    RegimeSpec,
-    SimulationOutput,
-    kmeans_1d,
-    mse,
-    run_preset,
-    simulate_ar,
-    simulate_iid_normal,
-    simulate_regime,
-)
-from .verify import SUITES, run_suite
+from .simulate import kmeans_1d, mse, run_preset
+from .verify import run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "StepFunction",
-    "ShiftRecord",
-    "make_step_function",
     "l2_norm",
-    "evaluate",
-    "shift_mean",
     "WaveformAtom",
-    "overlap_interval",
-    "cell_overlap_integral",
     "inner_product",
-    "two_cell_modulus",
-    "partial_window_modulus",
     "alternating_pair_modulus",
-    "WindowAtom",
-    "ScoredAtom",
     "best_window",
     "best_window_single_signed",
     "brute_force_best",
     "three_term_max",
-    "ExpansionTerm",
-    "GreedyExpansion",
     "PursuitConfig",
     "pursuit_step",
     "run_pursuit",
     "reconstruct",
     "energy_ledger",
     "breakpoints",
-    "RegimeSpec",
-    "ARSpec",
-    "SimulationOutput",
-    "simulate_regime",
-    "simulate_ar",
-    "simulate_iid_normal",
     "kmeans_1d",
     "mse",
-    "PRESETS",
     "run_preset",
-    "SUITES",
     "run_suite",
     "__version__",
 ]

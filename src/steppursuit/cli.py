@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -31,7 +32,7 @@ from .pursuit import (
     reconstruct,
     run_pursuit,
 )
-from .core import ShiftRecord, l2_norm
+from .core import l2_norm
 from .simulate import PRESETS, kmeans_1d, mse, run_preset
 from .verify import SUITES, run_suite
 
@@ -139,7 +140,7 @@ def expansion_report(
     return {
         "input": source,
         "config": asdict(config),
-        "shift": expansion.shift.shift,
+        "shift": expansion.shift,
         "terms": [
             {
                 "iteration": t.iteration,
@@ -151,7 +152,7 @@ def expansion_report(
         ],
         "residual_norms": list(expansion.norm_history),
         "residual": [float(x) for x in expansion.residual],
-        "reconstruction": [float(x) for x in rec.coefficients],
+        "reconstruction": [float(x) for x in rec],
         "breakpoints": breakpoints(expansion),
         "timing_seconds": seconds,
     }
@@ -169,7 +170,7 @@ def expansion_from_report(report: dict) -> GreedyExpansion:
         terms,
         np.asarray(report["residual"], dtype=float),
         tuple(report["residual_norms"]),
-        ShiftRecord(report["shift"]),
+        report["shift"],
     )
 
 
@@ -219,7 +220,7 @@ def cmd_compare(args) -> int:
     t0 = time.perf_counter()
     expansion = run_pursuit(values, config)
     seconds = time.perf_counter() - t0
-    rec = reconstruct(expansion).coefficients
+    rec = reconstruct(expansion)
 
     centers, assign = kmeans_1d(values, args.k, args.seed)
     km_path = centers[assign]
@@ -321,6 +322,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulate" and (args.T is not None and args.T < 1):
         parser.error("--T must be >= 1")
+    if args.command == "verify":
+        for flag, v in (("--trials", args.trials), ("--n", args.n)):
+            if v is not None and v < 1:
+                parser.error(f"{flag} must be >= 1")
+        for flag, v in (("--grid-step", args.grid_step), ("--xi-step", args.xi_step)):
+            if v is not None and not (math.isfinite(v) and v > 0):
+                parser.error(f"{flag} must be finite and > 0")
     try:
         return args.func(args)
     except (InputError, ValueError) as e:

@@ -7,9 +7,9 @@ An atom with scale t > 0, frequency xi and centre u is
 a unit-norm window of width t. Because step functions are constant on unit
 cells, <f, G> reduces to a finite sum of closed-form integrals: one per cell
 that overlaps the window. The helpers here expose those pieces individually
-(the per-cell integral, the short-window two-cell case, the partial-coverage
-window profile and the alternating two-cell case) because the maximizer and
-the verification sweeps each lean on a different one.
+(the per-cell integral, the partial-coverage window profile and the
+alternating two-cell case) because the maximizer and the verification sweeps
+each lean on a different one.
 
 All inner products are taken against the conjugate of G, so the xi-dependent
 phase enters as exp(-2 pi i xi x); moduli are unaffected.
@@ -23,15 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StepFunction, as_values
+from .core import as_values
 
 __all__ = [
     "WaveformAtom",
-    "atom_value",
     "overlap_interval",
     "cell_overlap_integral",
     "inner_product",
-    "two_cell_modulus",
     "partial_window_modulus",
     "alternating_pair_modulus",
 ]
@@ -57,14 +55,6 @@ class WaveformAtom:
     def window(self) -> tuple[float, float]:
         half = self.t / 2.0
         return (self.u - half, self.u + half)
-
-
-def atom_value(atom: WaveformAtom, x: float) -> complex:
-    """G(x) itself. Used by the quadrature cross-checks in the test suite."""
-    lo, hi = atom.window
-    if x < lo or x > hi:
-        return 0.0
-    return cmath.exp(2j * math.pi * atom.xi * x) / math.sqrt(atom.t)
 
 
 def overlap_interval(j: int, atom: WaveformAtom):
@@ -103,36 +93,18 @@ def cell_overlap_integral(j: int, atom: WaveformAtom) -> complex:
     return _segment_integral(seg[0], seg[1], atom.xi)
 
 
-def inner_product(f: StepFunction, atom: WaveformAtom) -> complex:
-    """<f, G> = (1 / sqrt t) sum_j a_j * cell_overlap_integral(j)."""
-    a = f.coefficients
+def inner_product(seq, atom: WaveformAtom) -> complex:
+    """<f, G> = (1 / sqrt t) sum_j a_j * cell_overlap_integral(j), cells 1..N."""
+    a = as_values(seq)
     wlo, whi = atom.window
-    first = max(f.origin, math.ceil(wlo - 0.5))
-    last = min(f.origin + a.size - 1, math.floor(whi + 0.5))
+    first = max(1, math.ceil(wlo - 0.5))
+    last = min(a.size, math.floor(whi + 0.5))
     acc = 0.0 + 0.0j
     for j in range(first, last + 1):
-        c = a[j - f.origin]
+        c = a[j - 1]
         if c != 0.0:
             acc += c * cell_overlap_integral(j, atom)
     return acc / math.sqrt(atom.t)
-
-
-def two_cell_modulus(xi: float, s: float, t: float, left: float, right: float) -> float:
-    """|<f, G>| for a window of scale t <= 1 straddling one cell boundary.
-
-    The window covers the last s units of the cell holding `left` and the
-    first t - s units of the cell holding `right`. Requires 0 <= s <= t <= 1
-    with t > 0; windows this short never meet a third cell.
-    """
-    if not (0.0 <= s <= t <= 1.0) or t == 0.0:
-        raise ValueError("outside the short-window region 0 <= s <= t <= 1")
-    if xi == 0.0:
-        return abs(left * s + right * (t - s)) / math.sqrt(t)
-    g = math.pi * xi
-    z = left * (math.sin(g * s) / g) + right * cmath.exp(-1j * g * t) * (
-        math.sin(g * (t - s)) / g
-    )
-    return abs(z) / math.sqrt(t)
 
 
 def partial_window_modulus(s: float, t: float, n: int, k: int, seq) -> float:

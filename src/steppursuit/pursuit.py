@@ -10,18 +10,11 @@ floor and a coefficient floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    ShiftRecord,
-    StepFunction,
-    as_values,
-    l2_norm,
-    make_step_function,
-    shift_mean,
-)
+from .core import as_values, l2_norm
 from .maximizer import WindowAtom, best_window
 
 __all__ = [
@@ -52,14 +45,14 @@ class GreedyExpansion:
 
     norm_history[0] is the norm of the (shifted) input; one entry is appended
     after each accepted term, so its length is len(terms) + 1 and it never
-    increases. The shift record is whatever constant was added before the
-    run (0.0 when none), needed to undo it at reconstruction time.
+    increases. shift is whatever constant was added before the run (0.0
+    when none), needed to undo it at reconstruction time.
     """
 
     terms: tuple[ExpansionTerm, ...]
     residual: np.ndarray
     norm_history: tuple[float, ...]
-    shift: ShiftRecord = field(default=ShiftRecord(0.0))
+    shift: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -111,7 +104,8 @@ def run_pursuit(seq, config: PursuitConfig) -> GreedyExpansion:
     That first scan always runs, even when the input norm is already at or
     below residual_epsilon and no term is kept.
     """
-    r, shift = shift_mean(seq, 0.0 if config.pre_shift is None else config.pre_shift)
+    shift = 0.0 if config.pre_shift is None else float(config.pre_shift)
+    r = as_values(seq) + shift
     first = pursuit_step(r)
     norms = [l2_norm(r)]
     terms: list[ExpansionTerm] = []
@@ -127,8 +121,9 @@ def run_pursuit(seq, config: PursuitConfig) -> GreedyExpansion:
     return GreedyExpansion(tuple(terms), r, tuple(norms), shift)
 
 
-def reconstruct(expansion: GreedyExpansion) -> StepFunction:
-    """Sum of the expansion's window terms, with any pre-shift removed.
+def reconstruct(expansion: GreedyExpansion) -> np.ndarray:
+    """Cell values of the sum of the expansion's window terms, with any
+    pre-shift removed.
 
     Cellwise this equals (shifted input - residual) - shift, i.e. the
     approximation of the original sequence.
@@ -137,8 +132,8 @@ def reconstruct(expansion: GreedyExpansion) -> StepFunction:
     for term in expansion.terms:
         n, L = term.atom.start, term.atom.length
         rec[n - 1 : n - 1 + L] += term.coefficient / math.sqrt(L)
-    rec -= expansion.shift.shift
-    return make_step_function(rec)
+    rec -= expansion.shift
+    return rec
 
 
 def energy_ledger(expansion: GreedyExpansion) -> list[tuple[float, float]]:
@@ -160,5 +155,5 @@ def breakpoints(expansion: GreedyExpansion, threshold: float = 0.0) -> list[int]
     |rec[j + 1] - rec[j]| strictly above the threshold.
     """
     rec = reconstruct(expansion)
-    d = np.abs(np.diff(rec.coefficients))
-    return [int(i) + rec.origin for i in np.nonzero(d > threshold)[0]]
+    d = np.abs(np.diff(rec))
+    return [int(i) + 1 for i in np.nonzero(d > threshold)[0]]

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core import as_values, make_step_function
+from .core import as_values
 from .dictionary import (
     WaveformAtom,
     alternating_pair_modulus,
@@ -137,7 +137,7 @@ def sweep_theorem2(trials=50, n_max=12, grid_step=0.02, seed=0):
         u_grid = _steps(0.0, N + 1, grid_step)
         gmax = grid_max_unmodulated(a, t_grid, u_grid)
         worst = max(worst, gmax - scored.value)
-        ip = inner_product(make_step_function(a), scored.atom.as_waveform())
+        ip = inner_product(a, scored.atom.as_waveform())
         attain = max(attain, abs(abs(ip) - scored.value))
     return _report(
         "theorem2", trials, seed, 1e-6, max(worst, attain),
@@ -175,7 +175,7 @@ def sweep_lemma1(trials=50, n_max=12, grid_step=0.02, xi_step=0.05, seed=0):
         t_grid = _steps(grid_step, 1.0, grid_step)
         u_grid = _steps(0.0, N + 1, grid_step)
         gmax = grid_max_modulated(a, t_grid, u_grid, xi_grid)
-        ip = inner_product(make_step_function(a), WaveformAtom(1.0, 0.0, n0 + 1))
+        ip = inner_product(a, WaveformAtom(1.0, 0.0, n0 + 1))
         worst = max(worst, abs(gmax - amax), abs(abs(ip) - amax))
     return _report("lemma1", trials, seed, 1e-6, worst)
 
@@ -232,8 +232,7 @@ def sweep_remark(trials=1000, seed=0):
         delta = rng.uniform(-(t + 1.0) / 2.0, (t + 1.0) / 2.0)
         xi = 0.0 if i % 10 == 9 else rng.uniform(-2.0, 2.0)
         closed = alternating_pair_modulus(amp, t, delta, xi)
-        f = make_step_function([-amp, amp])
-        ip = inner_product(f, WaveformAtom(t, xi, 1.0 + delta))
+        ip = inner_product([-amp, amp], WaveformAtom(t, xi, 1.0 + delta))
         worst = max(worst, abs(closed - abs(ip)))
     return _report("remark", trials, seed, 1e-10, worst)
 

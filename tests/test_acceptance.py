@@ -20,7 +20,6 @@ from steppursuit import (
     inner_product,
     kmeans_1d,
     l2_norm,
-    make_step_function,
     mse,
     pursuit_step,
     reconstruct,
@@ -117,7 +116,7 @@ def test_criterion_05_partial_window_profile_vertex_max():
 
 
 def test_criterion_06_alternating_pair():
-    f = make_step_function([-1.0, 1.0])
+    f = [-1.0, 1.0]
     blind = abs(inner_product(f, WaveformAtom(2.0, 0.0, 1.5)))
     seen = abs(inner_product(f, WaveformAtom(2.0, 0.25, 1.5)))
     # full-coverage modulated value: 2 sin^2(pi/4) / ((pi/4) sqrt 2) = 2 sqrt(2)/pi
@@ -181,7 +180,7 @@ def test_criterion_09_three_state_regime_recovery():
     for seed in range(1, 51):
         out = run_preset("sim1-3state", 250, seed)
         exp = run_pursuit(out.values, PursuitConfig(max_iterations=11))
-        rec = reconstruct(exp).coefficients
+        rec = reconstruct(exp)
         rec_mse = mse(rec, out.true_means)
         raw_mse = mse(out.values, out.true_means)
         rec_mses.append(rec_mse)
@@ -231,7 +230,7 @@ def test_criterion_11_constant_mean_first_atom():
         out = run_preset("normal-mean2", 500, seed)
         exp = run_pursuit(out.values, PursuitConfig(max_iterations=1, pre_shift=10.0))
         t = exp.terms[0]
-        step = t.coefficient / math.sqrt(t.atom.length) - exp.shift.shift
+        step = t.coefficient / math.sqrt(t.atom.length) - exp.shift
         if (
             t.atom.start == 1
             and t.atom.length == 500
@@ -266,7 +265,7 @@ def test_criterion_13_kmeans_comparison():
     for seed in range(1, 21):
         out = run_preset("kmeans-2state", 500, seed)
         exp = run_pursuit(out.values, PursuitConfig(max_iterations=21))
-        rec = reconstruct(exp).coefficients
+        rec = reconstruct(exp)
         pursuit_mse = mse(rec, out.true_means)
 
         centers, assign = kmeans_1d(out.values, 2, seed=seed)

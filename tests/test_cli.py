@@ -249,6 +249,29 @@ def test_verify_accepts_n_flag(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--trials", "0"],
+        ["--trials", "-1"],
+        ["--n", "0"],
+        ["--grid-step", "0"],
+        ["--grid-step", "-0.5"],
+        ["--grid-step", "nan"],
+        ["--grid-step", "inf"],
+        ["--xi-step", "0"],
+        ["--xi-step", "nan"],
+    ],
+)
+def test_verify_rejects_bad_numeric_options(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "theorem1", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {flags[0]} must be" in err and "usage:" in err
+    assert "Traceback" not in err
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "theorem9"])

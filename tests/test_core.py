@@ -1,11 +1,11 @@
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from steppursuit import evaluate, l2_norm, make_step_function, shift_mean
+from steppursuit.core import l2_norm
+from steppursuit.dictionary import WaveformAtom, inner_product
 
 finite_values = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -13,72 +13,28 @@ finite_values = st.floats(
 sequences = st.lists(finite_values, min_size=1, max_size=64)
 
 
-def test_make_step_function_copies_coefficients():
-    f = make_step_function([1.0, 2.0, 3.0])
-    assert f.origin == 1
-    assert f.coefficients.tolist() == [1.0, 2.0, 3.0]
-    src = np.array([5.0, 6.0])
-    g = make_step_function(src)
-    src[0] = -1.0
-    assert g.coefficients[0] == 5.0
-
-
-def test_make_step_function_rejects_empty():
+def test_l2_norm_and_inner_product_reject_empty():
     with pytest.raises(ValueError, match="empty input"):
-        make_step_function([])
+        l2_norm([])
+    with pytest.raises(ValueError, match="empty input"):
+        inner_product([], WaveformAtom(1.0, 0.0, 1.0))
 
 
-def test_make_step_function_rejects_non_finite():
-    with pytest.raises(ValueError):
-        make_step_function([1.0, float("nan")])
+def test_l2_norm_and_inner_product_reject_non_finite():
+    with pytest.raises(ValueError, match="non-finite input"):
+        l2_norm([1.0, float("nan")])
+    with pytest.raises(ValueError, match="non-finite input"):
+        inner_product([1.0, float("inf")], WaveformAtom(1.0, 0.0, 1.0))
 
 
 def test_l2_norm_examples():
-    assert l2_norm(make_step_function([3, 4])) == 5.0
-    assert l2_norm(make_step_function([0, 0, 0])) == 0.0
-    assert l2_norm(make_step_function([1, 1, 1, 1])) == 2.0
-
-
-def test_evaluate_half_open_cells():
-    f = make_step_function([2, 5])
-    assert evaluate(f, 1.0) == 2.0
-    assert evaluate(f, 1.5) == 5.0  # boundary belongs to the right cell
-    assert evaluate(f, 9.0) == 0.0
-    assert evaluate(f, 0.5) == 2.0
-    assert evaluate(f, 2.5) == 5.0  # final edge is closed
-    assert evaluate(f, 0.4999) == 0.0
-    assert evaluate(f, 2.5001) == 0.0
-
-
-def test_shift_mean_example():
-    shifted, record = shift_mean([-1, 1], 10)
-    assert shifted.tolist() == [9.0, 11.0]
-    assert record.shift == 10.0
+    assert l2_norm([3, 4]) == 5.0
+    assert l2_norm([0, 0, 0]) == 0.0
+    assert l2_norm([1, 1, 1, 1]) == 2.0
 
 
 @given(sequences)
 def test_norm_squared_is_sum_of_squares(seq):
-    f = make_step_function(seq)
-    lhs = l2_norm(f) ** 2
+    lhs = l2_norm(seq) ** 2
     rhs = math.fsum(x * x for x in seq)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
-
-
-@given(sequences)
-def test_evaluate_at_integers_recovers_coefficients(seq):
-    f = make_step_function(seq)
-    # cell centres are integers, so this must be exact
-    assert sum(evaluate(f, j) for j in range(1, len(seq) + 1)) == sum(
-        float(a) for a in f.coefficients
-    )
-    for j, a in enumerate(seq, start=1):
-        assert evaluate(f, j) == a
-
-
-@given(sequences, st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
-@settings(max_examples=200)
-def test_shift_then_unshift_is_identity(seq, c):
-    shifted, record = shift_mean(seq, c)
-    back = shifted - record.shift
-    scale = max(1.0, max(abs(x) for x in seq), abs(c))
-    assert np.max(np.abs(back - np.asarray(seq, dtype=float))) <= 1e-12 * scale

@@ -15,23 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from steppursuit import (
+from steppursuit.core import l2_norm
+from steppursuit.dictionary import (
     WaveformAtom,
     alternating_pair_modulus,
     cell_overlap_integral,
     inner_product,
-    l2_norm,
-    make_step_function,
     overlap_interval,
     partial_window_modulus,
-    two_cell_modulus,
 )
-from steppursuit.dictionary import atom_value
 
 
 def quad_inner_product(coeffs, atom):
     """<f, G> by adaptive quadrature, split at cell and window boundaries."""
-    f = make_step_function(coeffs)
 
     def integrand_re(x):
         return (evaluate_f(x) * cmath.exp(-2j * math.pi * atom.xi * x)).real
@@ -54,6 +50,14 @@ def quad_inner_product(coeffs, atom):
         re += quad(integrand_re, a, b, limit=200)[0]
         im += quad(integrand_im, a, b, limit=200)[0]
     return complex(re, im) / math.sqrt(atom.t)
+
+
+def atom_value(atom, x):
+    """G(x) itself, for the unit-norm quadrature check."""
+    lo, hi = atom.window
+    if x < lo or x > hi:
+        return 0.0
+    return cmath.exp(2j * math.pi * atom.xi * x) / math.sqrt(atom.t)
 
 
 def test_atom_has_unit_norm():
@@ -107,9 +111,9 @@ def test_cell_overlap_integral_matches_quadrature():
 
 
 def test_inner_product_examples():
-    assert inner_product(make_step_function([7.0]), WaveformAtom(1, 0, 1)) == 7.0
-    assert inner_product(make_step_function([-2.0, 2.0]), WaveformAtom(2, 0, 1.5)) == 0.0
-    got = abs(inner_product(make_step_function([-1.0, 1.0]), WaveformAtom(2, 0.25, 1.5)))
+    assert inner_product([7.0], WaveformAtom(1, 0, 1)) == 7.0
+    assert inner_product([-2.0, 2.0], WaveformAtom(2, 0, 1.5)) == 0.0
+    got = abs(inner_product([-1.0, 1.0], WaveformAtom(2, 0.25, 1.5)))
     assert got == pytest.approx(0.9003163161571062, abs=1e-10)
 
 
@@ -122,7 +126,7 @@ def test_inner_product_matches_quadrature():
         xi = float(rng.uniform(-2.0, 2.0)) if rng.random() > 0.25 else 0.0
         u = float(rng.uniform(-0.5, n + 1.5))
         atom = WaveformAtom(t, xi, u)
-        got = inner_product(make_step_function(coeffs), atom)
+        got = inner_product(coeffs, atom)
         want = quad_inner_product(coeffs, atom)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -135,9 +139,8 @@ def test_inner_product_matches_quadrature():
 )
 @settings(max_examples=300)
 def test_cauchy_schwarz(coeffs, t, xi, u):
-    f = make_step_function(coeffs)
-    ip = inner_product(f, WaveformAtom(t, xi, u))
-    assert abs(ip) <= l2_norm(f) * (1 + 1e-12) + 1e-12
+    ip = inner_product(coeffs, WaveformAtom(t, xi, u))
+    assert abs(ip) <= l2_norm(coeffs) * (1 + 1e-12) + 1e-12
 
 
 @given(
@@ -158,58 +161,14 @@ def test_overlap_integral_bounded_by_overlap_length(j, t, xi, u):
 @settings(max_examples=200)
 def test_cell_aligned_inner_product_is_scaled_window_sum(coeffs):
     # a window covering cells n..n+L-1 exactly has <f, G> = sum / sqrt(L)
-    f = make_step_function(coeffs)
     N = len(coeffs)
     for n in range(1, N + 1):
         for L in range(1, N - n + 2):
             atom = WaveformAtom(float(L), 0.0, n + (L - 1) / 2.0)
-            got = inner_product(f, atom)
+            got = inner_product(coeffs, atom)
             want = math.fsum(coeffs[n - 1 : n - 1 + L]) / math.sqrt(L)
             assert got.imag == 0.0
             assert got.real == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-def test_two_cell_examples():
-    assert two_cell_modulus(0.0, 0.0, 1.0, 1.0, 2.0) == 2.0
-    assert two_cell_modulus(0.0, 1.0, 1.0, 7.0, 2.0) == 7.0
-
-
-def test_two_cell_rejects_outside_region():
-    with pytest.raises(ValueError, match="short-window"):
-        two_cell_modulus(0.0, 0.5, 1.5, 1.0, 1.0)
-    with pytest.raises(ValueError, match="short-window"):
-        two_cell_modulus(0.0, 0.8, 0.5, 1.0, 1.0)
-    with pytest.raises(ValueError, match="short-window"):
-        two_cell_modulus(0.0, -0.1, 0.5, 1.0, 1.0)
-
-
-def test_two_cell_agrees_with_inner_product():
-    # the window covering the last s of cell 1 and first t - s of cell 2
-    # is the atom centred at u = 1.5 + t/2 - s
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        t = float(rng.uniform(0.02, 1.0))
-        s = float(rng.uniform(0.0, t))
-        xi = float(rng.uniform(-2.0, 2.0)) if rng.random() > 0.2 else 0.0
-        left, right = rng.uniform(-3.0, 3.0, 2)
-        got = two_cell_modulus(xi, s, t, left, right)
-        f = make_step_function([left, right])
-        want = abs(inner_product(f, WaveformAtom(t, xi, 1.5 + t / 2.0 - s)))
-        assert got == pytest.approx(want, abs=1e-12)
-
-
-@given(
-    st.floats(min_value=0.01, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=-3, max_value=3),
-    st.floats(min_value=-10, max_value=10),
-    st.floats(min_value=-10, max_value=10),
-)
-@settings(max_examples=300)
-def test_two_cell_bounded_by_largest_cell(t, frac, xi, left, right):
-    s = frac * t
-    got = two_cell_modulus(xi, s, t, left, right)
-    assert got <= max(abs(left), abs(right)) + 1e-9
 
 
 def test_partial_window_examples():
@@ -252,7 +211,7 @@ def test_partial_window_agrees_with_inner_product():
         s = float(rng.uniform(0.0, t - k))
         got = partial_window_modulus(s, t, 2, k, seq)
         atom = WaveformAtom(t, 0.0, 1.5 - s + t / 2.0)
-        want = abs(inner_product(make_step_function(seq), atom))
+        want = abs(inner_product(seq, atom))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -277,6 +236,5 @@ def test_alternating_agrees_with_inner_product():
         delta = float(rng.uniform(-(t + 1) / 2, (t + 1) / 2))
         xi = float(rng.uniform(-2.0, 2.0)) if rng.random() > 0.1 else 0.0
         got = alternating_pair_modulus(amp, t, delta, xi)
-        f = make_step_function([-amp, amp])
-        want = abs(inner_product(f, WaveformAtom(t, xi, 1.0 + delta)))
+        want = abs(inner_product([-amp, amp], WaveformAtom(t, xi, 1.0 + delta)))
         assert got == pytest.approx(want, abs=1e-10)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steppursuit import (
+from steppursuit.maximizer import (
     ScoredAtom,
     WindowAtom,
     best_window,

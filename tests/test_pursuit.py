@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -96,10 +97,14 @@ def test_breakpoints_plateau():
 def test_shift_round_trip():
     seq = [1.0, 2.0, 3.0, 2.0]
     exp = run_pursuit(seq, PursuitConfig(max_iterations=6, pre_shift=10.0))
-    assert exp.shift.shift == 10.0
-    rec = reconstruct(exp).coefficients
+    assert exp.shift == 10.0
+    rec = reconstruct(exp)
     back = rec + exp.residual
     assert np.max(np.abs(back - np.asarray(seq))) <= 1e-12 * 13
+    # an integer pre-shift is stored as a float, so a report writes 10.0, not 10
+    exp = run_pursuit(seq, PursuitConfig(max_iterations=6, pre_shift=10))
+    assert type(exp.shift) is float and exp.shift == 10.0
+    assert json.dumps(exp.shift) == "10.0"
 
 
 def test_single_block_recovered_in_one_iteration():
@@ -116,7 +121,7 @@ def test_single_block_recovered_in_one_iteration():
 @settings(max_examples=200, deadline=None)
 def test_reconstruction_plus_residual_is_input(seq):
     exp = run_pursuit(seq, PursuitConfig(max_iterations=8))
-    back = reconstruct(exp).coefficients + exp.residual
+    back = reconstruct(exp) + exp.residual
     scale = max(1.0, max(abs(x) for x in seq))
     assert np.max(np.abs(back - np.asarray(seq))) <= 1e-12 * scale
 
@@ -126,7 +131,7 @@ def test_reconstruction_plus_residual_is_input(seq):
 def test_pre_shift_does_not_change_residual_frame(seq, c):
     # pursuit of (seq + c) leaves the same residual identity: terms - c + residual = seq
     exp = run_pursuit(seq, PursuitConfig(max_iterations=6, pre_shift=c))
-    back = reconstruct(exp).coefficients + exp.residual
+    back = reconstruct(exp) + exp.residual
     scale = max(1.0, max(abs(x) for x in seq), abs(c))
     assert np.max(np.abs(back - np.asarray(seq))) <= 1e-11 * scale
 

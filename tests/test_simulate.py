@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steppursuit import (
+from steppursuit.simulate import (
     ARSpec,
     PRESETS,
     RegimeSpec,

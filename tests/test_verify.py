@@ -4,7 +4,7 @@ full-size runs live in the acceptance suite."""
 import numpy as np
 import pytest
 
-from steppursuit import WaveformAtom, inner_product, make_step_function, run_suite
+from steppursuit import WaveformAtom, inner_product, run_suite
 from steppursuit.verify import grid_max_modulated, grid_max_unmodulated
 
 
@@ -15,12 +15,11 @@ def test_grid_engine_agrees_with_per_atom_inner_product():
     for _ in range(20):
         n = int(rng.integers(1, 8))
         a = rng.uniform(-1.0, 1.0, n)
-        f = make_step_function(a)
         t = float(rng.uniform(0.1, n + 1.0))
         u = float(rng.uniform(0.0, n + 1.0))
         for xi in (0.0, float(rng.uniform(-2.0, 2.0))):
             grid = grid_max_modulated(a, [t], [u], [xi])
-            direct = abs(inner_product(f, WaveformAtom(t, xi, u)))
+            direct = abs(inner_product(a, WaveformAtom(t, xi, u)))
             assert grid == pytest.approx(direct, abs=1e-12)
 
 
@@ -33,7 +32,6 @@ def test_grid_engine_max_over_multi_point_grids():
     for k in range(20):
         n = int(rng.integers(1, 8))
         a = rng.uniform(-1.0, 1.0, n)
-        f = make_step_function(a)
         if k % 2 == 0:
             step = float(rng.choice([0.25, 0.5]))
             t_grid = np.arange(1, int((n + 1) / step) + 1) * step
@@ -43,7 +41,7 @@ def test_grid_engine_max_over_multi_point_grids():
             u_grid = rng.uniform(-1.0, n + 2.0, 6)
         xi_grid = [0.0, 1.0, float(rng.uniform(-2.0, 2.0))]
         direct = max(
-            abs(inner_product(f, WaveformAtom(float(t), float(xi), float(u))))
+            abs(inner_product(a, WaveformAtom(float(t), float(xi), float(u))))
             for t in t_grid
             for u in u_grid
             for xi in xi_grid
@@ -52,7 +50,7 @@ def test_grid_engine_max_over_multi_point_grids():
             direct, abs=1e-12
         )
         unmod = max(
-            abs(inner_product(f, WaveformAtom(float(t), 0.0, float(u))))
+            abs(inner_product(a, WaveformAtom(float(t), 0.0, float(u))))
             for t in t_grid
             for u in u_grid
         )
