@@ -9,14 +9,39 @@ pursuit over step functions cheap: no continuous search is needed.
 `best_window` is the production routine. It scans window lengths in
 geometric blocks [w, 2w) and bounds, from range maxima and minima of the
 prefix sums, the best score each start can reach in a block; only starts
-whose bound beats the incumbent are evaluated. On inputs whose best windows
-are short that costs O(N log N) plus the surviving windows; when most starts
-survive a block it scans that block densely, so the worst case stays the
-O(N^2) of the plain per-length scan. The result is the exact argmax, tie-break
-included, bit for bit. `brute_force_best` recomputes every window sum
-independently with compensated summation and exists only to cross-check it.
-`three_term_max` evaluates a third formulation, a pointwise maximum of three
-window families indexed by (n, k), that must agree with both.
+whose bound beats the incumbent are evaluated. Where that bound leaves many
+starts, as on a level stretch whose prefix sum is close to a line, chord
+tests on the prefix sum (the hull lemma below) drop one sign of a start's
+bound, or both. On noise, and on a level plus noise, that costs O(N log N)
+plus the surviving windows. A convex (or concave) prefix sum, such as that of
+1..N, keeps every start on its hull; blocks then scan densely, so the worst
+case stays the O(N^2) of the plain per-length scan. The result is the exact
+argmax, tie-break included, bit for bit. `brute_force_best` recomputes every
+window sum independently with compensated summation and exists only to
+cross-check it. `three_term_max` evaluates a third formulation, a pointwise
+maximum of three window families indexed by (n, k), that must agree with both.
+
+Hull lemma (the prefix-hull argument for maximum-density segments: Chung &
+Lu, SIAM J. Comput. 2004; Goldwasser, Kao & Lu, JCSS 2005). Let P be the
+prefix sum, P_0 = 0, so cells k + 1 .. j sum to P_j - P_k. Fix an end j and
+a start i whose window has a positive sum, scoring c = (P_j - P_i)/sqrt(j - i).
+Suppose P_i lies a height delta > 0 above the chord from (A, P_A) to
+(B, P_B), with A < i < B <= j. Then A or B is a start scoring at least
+c + delta/sqrt(N) for the same end. Proof: g(k) = P_j - c sqrt(j - k) is
+convex on k <= j and g(i) = P_i, and a start k beats c with a positive sum
+exactly when P_k < g(k). At i the chord of g lies on or above g(i) = P_i,
+and the chord of P lies delta below P_i, so the chord of g - P is at least
+delta there. It is a weighted mean of g(A) - P_A and g(B) - P_B, so one of
+them is at least delta; it is not B = j, where g - P is 0. That start k has
+P_j - P_k >= c sqrt(j - k) + delta, a score of at least
+c + delta/sqrt(j - k) >= c + delta/sqrt(N). Hence the best positive-sum start
+for end j lies on the lower convex hull of {(k, P_k) : k < j}. Mirrored, a
+start below a chord is never the best negative-sum start: the upper hull.
+Collinear points (delta = 0) must be kept: the lemma then only says that A
+or B scores at least c, and if A ties, dropping i would hand the tie to the
+longer window A .. j against the tie-break. (Strict convexity of g puts A or
+B strictly ahead, but by a margin that rounding can erase; see tol in
+`best_window`.)
 """
 
 from __future__ import annotations
@@ -93,6 +118,38 @@ def best_window(seq) -> ScoredAtom:
     quotient. A start with bound_i <= the incumbent is dropped; its windows
     could at best tie, and a tie goes to the incumbent's shorter length.
 
+    Where many starts survive (survivors * w > N, so the block's gather
+    alone would cost more than a pass over the input), blocks with w >= 2
+    run chord tests on their survivors, at d = 1, 2, 4, .., w/2:
+
+        above_i  if  P[i] > (P[i - d] + P[i + d]) / 2 + tol
+        below_i  if  P[i] < (P[i - d] + P[i + d]) / 2 - tol
+
+    Every end of the block has j >= i + w >= i + 2d, so the chord ends at
+    B = i + d < j, inside the prefix the lemma (module docstring) needs;
+    d = w would still give B <= j. So no positive-sum window of an "above"
+    start in this block can be the argmax, and the start drops the hi side
+    of its bound; a "below" start drops the lo side. The start survives if
+    what is left of its bound beats the incumbent, and all its windows in
+    the block are evaluated. The tests cost about log2(w) operations per
+    survivor against the gather's w; on noise the range bound leaves few
+    survivors and they do not run.
+
+    tol keeps this exact in floating point. With M = max |P[k]|, u = eps/2
+    and tiny the smallest normal float, each sum, difference and quotient
+    rounds with relative error u, and halving and division lose at most
+    u * tiny more to underflow. A computed score therefore lies within
+    3.01u s + u tiny of its real value s <= 2M, and the lemma's gap
+    delta/sqrt(N) puts the dominating window's computed score strictly
+    above the pruned one's once delta > sqrt(N) eps (6.02M + tiny). The
+    midpoint, formed from halves of P so that it cannot overflow, and the
+    sum with tol are off by at most u (2M + 2 tiny + tol), so a start that
+    passes the test lies delta > tol (1 - u) - eps (M + tiny) above the real
+    chord. tol = 8 eps (M + tiny) sqrt(N) makes that at least
+    6.99 sqrt(N) eps (M + tiny), which clears the bound for every N >= 1.
+    So a pruned window always has a window whose computed score is strictly
+    higher: it is never the dense scan's argmax, whatever the tie-break.
+
     The surviving starts are evaluated exactly: their window sums are
     gathered in chunks of about N elements and reduced to a maximum per
     length. When so many starts survive that the gather would cost more
@@ -108,7 +165,8 @@ def best_window(seq) -> ScoredAtom:
     N = a.size
     with np.errstate(over="ignore"):
         p = _prefix(a)
-    if not math.isfinite(float(p.max()) - float(p.min())):
+    pmax, pmin = float(p.max()), float(p.min())
+    if not math.isfinite(pmax - pmin):
         raise ValueError("window sums overflow")
     # ends[i, L] = p[min(i + L, N)]. A window running past cell N reads the
     # sum of a shorter window with the same start in the same block, which
@@ -118,6 +176,8 @@ def best_window(seq) -> ScoredAtom:
     )
     hi = p.copy()
     lo = p.copy()
+    fi = np.finfo(float)
+    tol = 8.0 * fi.eps * (max(pmax, -pmin) + fi.tiny) * math.sqrt(N)
     best_val = -1.0
     best_len = 0
     w = 1
@@ -128,6 +188,25 @@ def best_window(seq) -> ScoredAtom:
         np.maximum(bound, p[:n] - lo[w:], out=bound)
         bound /= math.sqrt(w)
         starts = np.flatnonzero(bound > best_val)
+        if w > 1 and starts.size * w > N:
+            # chord tests on the survivors (see the docstring): an "above"
+            # start loses the hi side of its bound, a "below" start the lo side
+            ps = p[starts]
+            above = np.zeros(starts.size, dtype=bool)
+            below = np.zeros(starts.size, dtype=bool)
+            d = 1
+            while d < w:
+                k = int(np.searchsorted(starts, d))  # starts are sorted
+                # halves first, so that the midpoint cannot overflow
+                mid = 0.5 * p[starts[k:] - d] + 0.5 * p[starts[k:] + d]
+                above[k:] |= ps[k:] > mid + tol
+                below[k:] |= ps[k:] < mid - tol
+                d *= 2
+            up = np.where(above, -np.inf, hi[starts + w] - ps)
+            down = np.where(below, -np.inf, ps - lo[starts + w])
+            np.maximum(up, down, out=up)
+            up /= math.sqrt(w)
+            starts = starts[up > best_val]
         dense_cost = lengths.size * (N + 1) - int(lengths.sum())
         if starts.size * lengths.size * _GATHER_COST < dense_cost:
             mags = np.zeros(lengths.size)

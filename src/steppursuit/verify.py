@@ -101,7 +101,13 @@ def grid_max_modulated(values, t_grid, u_grid, xi_grid) -> float:
 
 
 def _steps(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(round((hi - lo) / step))
+    """lo, lo + step, .. up to hi. A step count less than a relative 1e-9
+    below a whole number is rounded up to it, so that grids whose step
+    divides the range end on hi despite the rounding of the division; the
+    last point can then pass hi by the rounding of lo + step * n."""
+    n = math.floor((hi - lo) / step * (1.0 + 1e-9))
+    if n < 0:
+        raise ValueError(f"grid step {step:g} is larger than the swept range up to {hi:g}")
     return lo + step * np.arange(n + 1)
 
 

@@ -133,6 +133,17 @@ def test_verify_failure_exits_1(capsys):
     assert json.loads(captured.out)["passed"] is False
 
 
+@pytest.mark.parametrize("argv", [["theorem2", "--grid-step", "100"], ["lemma1", "--grid-step", "2"]])
+def test_verify_rejects_grid_step_past_the_range(capsys, argv):
+    # no scale grid point fits below the swept range's end (N + 1 for
+    # theorem2, 1 for lemma1): an input error, not an empty sweep or a FAIL
+    # on scales outside the lemma
+    assert main(["verify", *argv, "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "error: grid step" in captured.err and "larger than the swept range" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

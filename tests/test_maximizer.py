@@ -112,15 +112,28 @@ def test_best_window_rejects_overflowing_sums(seq):
 
 
 @pytest.mark.parametrize(
-    "N", sorted({2**k + d for k in range(10) for d in (-1, 0, 1)} - {0})
+    "N", sorted({2**k + d for k in range(10) for d in (-1, 0, 1)} - {0}) + [3000]
 )
 def test_best_window_block_edges(N):
-    # sizes around the block boundaries 2^k; on noise most starts are pruned,
-    # on a constant level nearly all survive and blocks run the dense scan
+    # sizes around the block boundaries 2^k; on noise most starts are pruned
+    # by the range bound, on a level plus noise nearly all survive it and the
+    # chord tests decide. The other inputs have exact window sums, so the
+    # whole atom must also match brute_force_best where N keeps it cheap:
+    # seven regimes of equal length with a slow dyadic drift, whose prefix
+    # sum falls and rises again within a few block widths of the best
+    # window; a constant run and a repeating arithmetic run, whose prefix
+    # sums have collinear points and integer ties; and 1..N, whose convex
+    # prefix sum leaves every start.
     rng = np.random.default_rng(N)
     noise = rng.normal(size=N)
-    for a in (noise, 2.0 + 0.1 * noise):
+    x = np.arange(N)
+    levels = np.array([0.0, -1.0, -2.0, 0.0, -3.0, 2.0, 0.0])[x * 7 // N]
+    exact = (levels + x / 1024.0, np.full(N, 2.0), x % 5 - 2.0, x + 1.0)
+    for a in (noise, 2.0 + 0.1 * noise) + exact:
         assert best_window(a) == dense_best_window(a)
+    if N <= 130:
+        for a in exact:
+            assert best_window(a) == brute_force_best(a)
 
 
 def test_single_signed_examples():
@@ -158,7 +171,25 @@ def test_best_window_matches_brute_force_value(seq):
     assert fast.signed_sum == pytest.approx(math.fsum(window), rel=1e-9, abs=1e-9)
 
 
-@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=80))
+# runs v, v + s, .., v + (n - 1)s: constant runs (s = 0) put prefix sums on a
+# line, so chord tests meet collinear points and exact ties
+arithmetic_runs = st.lists(
+    st.tuples(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-1, max_value=1),
+        st.integers(min_value=1, max_value=12),
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda runs: [v + s * k for v, s, n in runs for k in range(n)])
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=80),
+        arithmetic_runs,
+    )
+)
 @settings(max_examples=300, deadline=None)
 def test_best_window_matches_brute_force_on_integer_ties(seq):
     # integer sums are exact and ties are frequent, so the whole atom,

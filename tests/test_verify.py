@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from steppursuit import WaveformAtom, inner_product, run_suite
-from steppursuit.verify import grid_max_modulated, grid_max_unmodulated
+from steppursuit.verify import _steps, grid_max_modulated, grid_max_unmodulated
 
 
 def test_grid_engine_agrees_with_per_atom_inner_product():
@@ -65,6 +65,22 @@ def test_grid_max_unmodulated_finds_plateau():
     u_grid = np.arange(0, int(6 / step) + 1) * step
     got = grid_max_unmodulated(a, t_grid, u_grid)
     assert got == pytest.approx(3 * np.sqrt(3), abs=1e-9)
+
+
+def test_steps_stay_inside_the_range():
+    # the default grids keep their point counts (xi, lemma1's t, and t and u
+    # of the theorem sweeps for every N up to 12), and a coarse step gives a
+    # non-empty grid that does not pass hi
+    assert _steps(-2.0, 2.0, 0.05).size == 81
+    assert _steps(0.02, 1.0, 0.02).size == 50
+    for N in range(1, 13):
+        assert _steps(0.02, N + 1, 0.02).size == 50 * (N + 1)
+        assert _steps(0.0, N + 1, 0.02).size == 50 * (N + 1) + 1
+    for lo, hi, step in ((-2.0, 2.0, 5.0), (-2.0, 2.0, 3.0), (0.0, 2.0, 1.5), (0.5, 1.0, 0.5)):
+        grid = _steps(lo, hi, step)
+        assert grid.size >= 1 and grid[0] == lo and grid[-1] <= hi
+    with pytest.raises(ValueError, match="larger than the swept range"):
+        _steps(2.0, 1.0, 2.0)
 
 
 def test_run_suite_rejects_unknown():
