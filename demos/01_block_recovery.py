@@ -26,9 +26,9 @@ noisy = signal + rng.normal(0.0, 0.1, N)
 expansion = run_pursuit(noisy, PursuitConfig(max_iterations=6))
 
 print("selected windows (start, length, coefficient):")
-for term in expansion.terms:
+for m, term in enumerate(expansion.terms):
     print(
-        f"  iter {term.iteration}: start={term.atom.start:3d} "
+        f"  iter {m}: start={term.atom.start:3d} "
         f"length={term.atom.length:3d} coef={term.coefficient:+.4f}"
     )
 

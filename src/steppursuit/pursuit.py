@@ -10,7 +10,7 @@ floor and a coefficient floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +32,11 @@ __all__ = [
 @dataclass(frozen=True)
 class ExpansionTerm:
     """One selected window. coefficient / sqrt(length) is the height added
-    on the window's cells by the reconstruction."""
+    on the window's cells by the reconstruction. A term's index in
+    GreedyExpansion.terms is the iteration that selected it."""
 
     atom: WindowAtom
     coefficient: float
-    iteration: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +77,8 @@ def pursuit_step(residual) -> tuple[ExpansionTerm, np.ndarray]:
     """One greedy step: select the best window and subtract its projection.
 
     The projection is constant on the selected window, signed_sum / L per
-    cell, and zero elsewhere. Returns the term (iteration field 0; the
-    driver renumbers) and the new residual as a fresh array.
+    cell, and zero elsewhere. Returns the term and the new residual as a
+    fresh array.
     """
     r = as_values(residual)
     scored = best_window(r)
@@ -86,7 +86,7 @@ def pursuit_step(residual) -> tuple[ExpansionTerm, np.ndarray]:
     coef = scored.signed_sum / math.sqrt(L)
     out = r.copy()
     out[n - 1 : n - 1 + L] -= scored.signed_sum / L
-    return ExpansionTerm(scored.atom, coef, 0), out
+    return ExpansionTerm(scored.atom, coef), out
 
 
 def run_pursuit(seq, config: PursuitConfig) -> GreedyExpansion:
@@ -115,7 +115,7 @@ def run_pursuit(seq, config: PursuitConfig) -> GreedyExpansion:
         term, nxt = first if m == 0 else pursuit_step(r)
         if abs(term.coefficient) <= config.coefficient_epsilon:
             break
-        terms.append(replace(term, iteration=m))
+        terms.append(term)
         r = nxt
         norms.append(l2_norm(r))
     return GreedyExpansion(tuple(terms), r, tuple(norms), shift)

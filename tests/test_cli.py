@@ -6,13 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from steppursuit.cli import (
-    expansion_from_report,
-    main,
-    read_csv_column,
-    report_from_json,
-    report_to_json,
-)
+from steppursuit import PursuitConfig, run_pursuit
+from steppursuit.cli import main, read_csv_column, report_to_json
 
 
 def write_csv(path, rows, header=None):
@@ -29,34 +24,90 @@ def test_read_csv_column_by_index_and_name(tmp_path):
     assert read_csv_column(str(p), "value").tolist() == [10.5, -3.25]
     assert read_csv_column(str(p), "1").tolist() == [10.5, -3.25]
     assert read_csv_column(str(p), "0").tolist() == [1.0, 2.0]
+    # a UTF-8 byte-order mark (Excel writes one) is not part of the header
+    p.write_bytes(b"\xef\xbb\xbfvalue,t\r\n10.5,1\r\n-3.25,2\r\n")
+    assert read_csv_column(str(p), "value").tolist() == [10.5, -3.25]
 
 
 def test_read_csv_headerless(tmp_path):
     p = tmp_path / "plain.csv"
     write_csv(p, [[4.0], [5.0], [6.0]])
     assert read_csv_column(str(p), "0").tolist() == [4.0, 5.0, 6.0]
+    # nor does it turn a headerless first row into a header
+    p.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n")
+    assert read_csv_column(str(p), "0").tolist() == [1.5, 2.5, 3.5]
 
 
 def test_read_csv_errors(tmp_path):
     p = tmp_path / "bad.csv"
     write_csv(p, [["x"], ["1.0"], ["oops"]])
-    from steppursuit.cli import InputError
-
-    with pytest.raises(InputError, match="not a number"):
+    with pytest.raises(ValueError, match="row 3: not a number"):
         read_csv_column(str(p), "0")
+    # row numbers are file lines, blank lines included
+    p.write_text("t,value\n1,1.0\n\n\n2,oops\n")
+    with pytest.raises(ValueError, match="row 5: not a number: 'oops'"):
+        read_csv_column(str(p), "value")
     write_csv(p, [["a", "b"], ["1", "2"]])
-    with pytest.raises(InputError, match="not found"):
+    with pytest.raises(ValueError, match="not found"):
         read_csv_column(str(p), "missing")
+    p.write_bytes(b"\xff\xfe1.0\n")  # not UTF-8
+    with pytest.raises(ValueError, match="can't decode"):
+        read_csv_column(str(p), "0")
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    with pytest.raises(InputError, match="empty"):
+    with pytest.raises(ValueError, match="empty"):
         read_csv_column(str(empty), "0")
+
+
+# test_approx_plateau's report, less its "timing_seconds" line
+PLATEAU_REPORT = """{
+  "input": %s,
+  "config": {
+    "max_iterations": 5,
+    "residual_epsilon": 1e-12,
+    "coefficient_epsilon": 0.0,
+    "pre_shift": null
+  },
+  "shift": 0.0,
+  "terms": [
+    {
+      "iteration": 0,
+      "start": 2,
+      "length": 3,
+      "coefficient": 5.196152422706632
+    }
+  ],
+  "residual_norms": [
+    5.196152422706632,
+    0.0
+  ],
+  "residual": [
+    0.0,
+    0.0,
+    0.0,
+    0.0,
+    0.0
+  ],
+  "reconstruction": [
+    0.0,
+    3.0000000000000004,
+    3.0000000000000004,
+    3.0000000000000004,
+    0.0
+  ],
+  "breakpoints": [
+    1,
+    4
+  ],
+}
+"""
 
 
 def test_approx_plateau(tmp_path, capsys):
     p = tmp_path / "block.csv"
     write_csv(p, [[0.0], [3.0], [3.0], [3.0], [0.0]])
     out = tmp_path / "report.json"
+    plot = tmp_path / "plot.csv"
     code = main(
         [
             "approx",
@@ -69,10 +120,17 @@ def test_approx_plateau(tmp_path, capsys):
             "1e-12",
             "--out",
             str(out),
+            "--plot-out",
+            str(plot),
         ]
     )
     assert code == 0
-    rep = json.loads(out.read_text())
+    text = out.read_text()
+    # the report layout: key order, indent, numbering and float repr
+    timed = [line for line in text.splitlines(keepends=True) if '"timing_seconds": ' in line]
+    assert len(timed) == 1
+    assert text.replace(timed[0], "") == PLATEAU_REPORT % json.dumps(str(p))
+    rep = json.loads(text)
     assert len(rep["terms"]) == 1
     t = rep["terms"][0]
     assert (t["start"], t["length"]) == (2, 3)
@@ -80,6 +138,12 @@ def test_approx_plateau(tmp_path, capsys):
     assert rep["residual_norms"][-1] == 0.0
     assert rep["breakpoints"] == [1, 4]
     assert max(abs(x) for x in rep["residual"]) == 0.0
+    with open(plot, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "value", "reconstruction"]
+    assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4, 5]
+    assert [float(r[1]) for r in rows[1:]] == [0.0, 3.0, 3.0, 3.0, 0.0]
+    assert [float(r[2]) for r in rows[1:]] == rep["reconstruction"]
 
 
 def test_approx_shift_round_trip(tmp_path):
@@ -167,14 +231,15 @@ def test_report_json_round_trip(tmp_path):
     out = tmp_path / "rep.json"
     main(["approx", str(p), "--column", "0", "--max-iter", "4", "--out", str(out)])
     text = out.read_text()
-    rep = report_from_json(text)
+    rep = json.loads(text)
     # floats survive the round trip bit for bit
     assert report_to_json(rep) == text
-    exp = expansion_from_report(rep)
-    assert [t.coefficient for t in exp.terms] == [
-        t["coefficient"] for t in rep["terms"]
-    ]
-    assert list(exp.norm_history) == rep["residual_norms"]
+    exp = run_pursuit(read_csv_column(str(p), "0"), PursuitConfig(max_iterations=4))
+    assert len(exp.terms) > 1
+    assert [t["iteration"] for t in rep["terms"]] == list(range(len(exp.terms)))
+    assert [t["coefficient"] for t in rep["terms"]] == [t.coefficient for t in exp.terms]
+    assert rep["residual_norms"] == list(exp.norm_history)
+    assert rep["residual"] == exp.residual.tolist()
 
 
 def test_simulate_csv(tmp_path):
