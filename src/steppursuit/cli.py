@@ -102,6 +102,9 @@ def read_csv_column(path: str, column: str) -> np.ndarray:
                     raise ValueError(f"row {reader.line_num}: not a number: {cell!r}") from None
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e.strerror}") from e
+    except csv.Error as e:
+        # a malformed row, e.g. a field past csv.field_size_limit()
+        raise ValueError(f"row {reader.line_num}: {e}") from None
     if not out:
         raise ValueError("empty input")
     return np.asarray(out)

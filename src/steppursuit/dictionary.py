@@ -6,10 +6,9 @@ An atom with scale t > 0, frequency xi and centre u is
 
 a unit-norm window of width t. Because step functions are constant on unit
 cells, <f, G> reduces to a finite sum of closed-form integrals: one per cell
-that overlaps the window. The helpers here expose those pieces individually
-(the per-cell integral, the partial-coverage window profile and the
-alternating two-cell case) because the maximizer and the verification sweeps
-each lean on a different one.
+that overlaps the window. Two special cases also have closed forms of their
+own, which the verification sweeps check: the partial-coverage window profile
+and the alternating two-cell case.
 
 All inner products are taken against the conjugate of G, so the xi-dependent
 phase enters as exp(-2 pi i xi x); moduli are unaffected.
@@ -21,14 +20,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import as_values
 
 __all__ = [
     "WaveformAtom",
-    "overlap_interval",
-    "cell_overlap_integral",
     "inner_product",
     "partial_window_modulus",
     "alternating_pair_modulus",
@@ -51,23 +46,14 @@ class WaveformAtom:
         if self.t <= 0:
             raise ValueError("atom scale t must be positive")
 
-    @property
-    def window(self) -> tuple[float, float]:
-        half = self.t / 2.0
-        return (self.u - half, self.u + half)
 
-
-def overlap_interval(j: int, atom: WaveformAtom):
-    """Intersection of cell j with the atom window, or None when disjoint.
-
-    Touching at a single point counts as empty: the integral over it is zero
-    either way, and callers can then assume lo < hi.
-    """
-    lo = max(j - 0.5, atom.window[0])
-    hi = min(j + 0.5, atom.window[1])
-    if hi <= lo:
-        return None
-    return (lo, hi)
+def _sin_over(g: float, w: float) -> float:
+    # sin(g w) / g as w * sinc(g w): dividing by g directly loses every digit
+    # once g is subnormal, and the series keeps full precision for tiny g w
+    x = g * w
+    if abs(x) < 1e-4:
+        return w * (1.0 - x * x / 6.0)
+    return w * (math.sin(x) / x)
 
 
 def _segment_integral(lo: float, hi: float, xi: float) -> complex:
@@ -78,32 +64,22 @@ def _segment_integral(lo: float, hi: float, xi: float) -> complex:
     if xi == 0.0:
         return hi - lo
     g = math.pi * xi
-    return cmath.exp(-1j * g * (lo + hi)) * (math.sin(g * (hi - lo)) / g)
-
-
-def cell_overlap_integral(j: int, atom: WaveformAtom) -> complex:
-    """Integral of the conjugated oscillation over cell j's overlap with the window.
-
-    This is the weight multiplying a_j in <f, G> before the 1/sqrt(t)
-    normalisation. Zero when the cell misses the window entirely.
-    """
-    seg = overlap_interval(j, atom)
-    if seg is None:
-        return 0.0
-    return _segment_integral(seg[0], seg[1], atom.xi)
+    return cmath.exp(-1j * g * (lo + hi)) * _sin_over(g, hi - lo)
 
 
 def inner_product(seq, atom: WaveformAtom) -> complex:
-    """<f, G> = (1 / sqrt t) sum_j a_j * cell_overlap_integral(j), cells 1..N."""
+    """<f, G> = (1 / sqrt t) sum_j a_j * integral of exp(-2 pi i xi x) over
+    cell j's overlap with the window [u - t/2, u + t/2], cells 1..N."""
     a = as_values(seq)
-    wlo, whi = atom.window
+    half = atom.t / 2.0
+    wlo, whi = atom.u - half, atom.u + half
     first = max(1, math.ceil(wlo - 0.5))
     last = min(a.size, math.floor(whi + 0.5))
     acc = 0.0 + 0.0j
     for j in range(first, last + 1):
         c = a[j - 1]
         if c != 0.0:
-            acc += c * cell_overlap_integral(j, atom)
+            acc += c * _segment_integral(max(j - 0.5, wlo), min(j + 0.5, whi), atom.xi)
     return acc / math.sqrt(atom.t)
 
 
@@ -166,8 +142,8 @@ def alternating_pair_modulus(a: float, t: float, delta: float, xi: float) -> flo
     if xi == 0.0:
         return abs(a) * abs(w2 - w1) / math.sqrt(t)
     g = math.pi * xi
-    s1 = math.sin(g * w1) / g
-    s2 = math.sin(g * w2) / g
+    s1 = _sin_over(g, w1)
+    s2 = _sin_over(g, w2)
     gap = (lo2 + hi2 - lo1 - hi1) / 2.0  # distance between overlap midpoints
     mod2 = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * math.cos(2.0 * g * gap)
     return abs(a) * math.sqrt(max(mod2, 0.0)) / math.sqrt(t)

@@ -9,97 +9,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import as_values
 
-__all__ = [
-    "RegimeSpec",
-    "ARSpec",
-    "SimulationOutput",
-    "simulate_regime",
-    "simulate_ar",
-    "simulate_iid_normal",
-    "kmeans_1d",
-    "mse",
-    "PRESETS",
-    "run_preset",
-]
-
-
-@dataclass(frozen=True)
-class RegimeSpec:
-    """Hidden-state chain: per-state Normal(mean, variance) observations."""
-
-    means: tuple[float, ...]
-    variance: float
-    transitions: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        K = len(self.means)
-        if K == 0:
-            raise ValueError("at least one state required")
-        if not (math.isfinite(self.variance) and self.variance >= 0):
-            raise ValueError("variance must be finite and >= 0")
-        P = np.asarray(self.transitions, dtype=float)
-        if P.shape != (K, K):
-            raise ValueError("transition matrix must be K x K")
-        if np.any(P < 0.0) or np.any(P > 1.0):
-            raise ValueError("transition entries must lie in [0, 1]")
-        if np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("transition rows must sum to 1")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.means)
-
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.transitions, dtype=float)
-
-
-@dataclass(frozen=True)
-class ARSpec:
-    """Autoregression y_t = sum_p c_p y_{t-p} + eps_t, eps iid N(0, noise_sd^2)."""
-
-    coefficients: tuple[float, ...]
-    noise_sd: float
-
-    def __post_init__(self):
-        if len(self.coefficients) == 0:
-            raise ValueError("at least one lag coefficient required")
-        if not all(math.isfinite(c) for c in self.coefficients):
-            raise ValueError("non-finite coefficient")
-        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
-            raise ValueError("noise_sd must be finite and >= 0")
+__all__ = ["SimulationOutput", "kmeans_1d", "mse", "PRESETS", "run_preset"]
 
 
 @dataclass(frozen=True, eq=False)
 class SimulationOutput:
     """values: the observed sequence; states: 1-based hidden states (empty when
-    the model has none); true_means: the conditional mean at each step.
-    burn_in counts leading values whose conditioning history was zero-padded."""
+    the model has none); true_means: the conditional mean at each step."""
 
     values: np.ndarray
     states: np.ndarray
     true_means: np.ndarray
-    seed: int
-    burn_in: int = 0
-
-    def __post_init__(self):
-        if len(self.values) != len(self.true_means):
-            raise ValueError("values and true_means must have equal length")
-        if self.states.size and len(self.states) != len(self.values):
-            raise ValueError("states must be empty or match values in length")
 
 
-def simulate_regime(spec: RegimeSpec, T: int, seed: int) -> SimulationOutput:
-    """Sample the hidden chain (uniform initial state) and one observation per step."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
+def _regime(means, variance, transitions, T, seed) -> SimulationOutput:
+    """Hidden-state chain with per-state Normal(mean, variance) observations.
+
+    The initial state is uniform, and row s of `transitions` gives the
+    probabilities of the next state from state s.
+    """
     rng = np.random.default_rng(seed)
-    K = spec.n_states
-    cum = np.cumsum(spec.matrix(), axis=1)
+    K = len(means)
+    cum = np.cumsum(np.asarray(transitions, dtype=float), axis=1)
     u = rng.random(T)
     states = np.empty(T, dtype=int)
     s = min(int(u[0] * K), K - 1)
@@ -107,47 +44,36 @@ def simulate_regime(spec: RegimeSpec, T: int, seed: int) -> SimulationOutput:
     for t in range(1, T):
         s = min(int(np.searchsorted(cum[s], u[t], side="right")), K - 1)
         states[t] = s
-    means = np.asarray(spec.means, dtype=float)[states]
-    values = means + rng.standard_normal(T) * math.sqrt(spec.variance)
-    return SimulationOutput(values, states + 1, means.copy(), int(seed))
+    mean_path = np.asarray(means, dtype=float)[states]
+    values = mean_path + rng.standard_normal(T) * math.sqrt(variance)
+    return SimulationOutput(values, states + 1, mean_path.copy())
 
 
-def simulate_ar(spec: ARSpec, T: int, seed: int) -> SimulationOutput:
-    """Autoregression started from an all-zero history.
+def _ar(coefficients, noise_sd, T, seed) -> SimulationOutput:
+    """Autoregression y_t = sum_p c_p y_{t-p} + eps_t, eps iid N(0, noise_sd^2).
 
-    The first len(coefficients) steps condition on that padding and are
-    counted as burn_in rather than dropped.
+    It starts from an all-zero history, so the first len(coefficients) steps
+    condition on that padding; they are kept, not dropped.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
     rng = np.random.default_rng(seed)
-    eps = rng.standard_normal(T) * spec.noise_sd
-    coefs = spec.coefficients
+    eps = rng.standard_normal(T) * noise_sd
     y = np.zeros(T)
     mu = np.zeros(T)
     for t in range(T):
         m = 0.0
-        for p, c in enumerate(coefs, start=1):
+        for p, c in enumerate(coefficients, start=1):
             if t - p >= 0:
                 m += c * y[t - p]
         mu[t] = m
         y[t] = m + eps[t]
-    return SimulationOutput(
-        y, np.empty(0, dtype=int), mu, int(seed), burn_in=len(coefs)
-    )
+    return SimulationOutput(y, np.empty(0, dtype=int), mu)
 
 
-def simulate_iid_normal(mean: float, variance: float, T: int, seed: int) -> SimulationOutput:
+def _iid_normal(mean, variance, T, seed) -> SimulationOutput:
     """Independent Normal(mean, variance) draws; the true mean path is constant."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if not (math.isfinite(variance) and variance >= 0):
-        raise ValueError("variance must be finite and >= 0")
     rng = np.random.default_rng(seed)
     values = mean + rng.standard_normal(T) * math.sqrt(variance)
-    return SimulationOutput(
-        values, np.empty(0, dtype=int), np.full(T, float(mean)), int(seed)
-    )
+    return SimulationOutput(values, np.empty(0, dtype=int), np.full(T, float(mean)))
 
 
 def kmeans_1d(values, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -204,53 +130,52 @@ def mse(x, y) -> float:
     return float(np.dot(d, d) / d.size)
 
 
-_SIM1 = RegimeSpec(
-    means=(-0.5, 0.1, 0.5),
-    variance=0.01,
-    transitions=(
-        (0.98, 0.02, 0.0),
-        (0.005, 0.98, 0.015),
-        (0.02, 0.08, 0.90),
+# name -> (generator with its parameters bound, default T)
+PRESETS = {
+    "sim1-3state": (
+        partial(
+            _regime,
+            means=(-0.5, 0.1, 0.5),
+            variance=0.01,
+            transitions=((0.98, 0.02, 0.0), (0.005, 0.98, 0.015), (0.02, 0.08, 0.90)),
+        ),
+        250,
     ),
-)
-
-_SIM2 = RegimeSpec(
-    means=(-0.4, -0.1, 0.1, 0.4),
-    variance=0.01,
-    transitions=(
-        (0.98, 0.02, 0.0, 0.0),
-        (0.02, 0.95, 0.03, 0.0),
-        (0.0, 0.02, 0.97, 0.01),
-        (0.01, 0.0, 0.02, 0.97),
+    "sim2-4state": (
+        partial(
+            _regime,
+            means=(-0.4, -0.1, 0.1, 0.4),
+            variance=0.01,
+            transitions=(
+                (0.98, 0.02, 0.0, 0.0),
+                (0.02, 0.95, 0.03, 0.0),
+                (0.0, 0.02, 0.97, 0.01),
+                (0.01, 0.0, 0.02, 0.97),
+            ),
+        ),
+        600,
     ),
-)
-
-_TWO_STATE = RegimeSpec(
-    means=(0.2, -0.2),
-    variance=0.01,
-    transitions=((0.97, 0.03), (0.03, 0.97)),
-)
-
-_AR2 = ARSpec(coefficients=(0.3, 0.3), noise_sd=1.0)
-
-
-def _preset_table():
-    return {
-        "sim1-3state": (lambda T, seed: simulate_regime(_SIM1, T, seed), 250),
-        "sim2-4state": (lambda T, seed: simulate_regime(_SIM2, T, seed), 600),
-        "normal-mean2": (lambda T, seed: simulate_iid_normal(2.0, 1.0, T, seed), 500),
-        "normal-std": (lambda T, seed: simulate_iid_normal(0.0, 1.0, T, seed), 500),
-        "ar2": (lambda T, seed: simulate_ar(_AR2, T, seed), 100),
-        "kmeans-2state": (lambda T, seed: simulate_regime(_TWO_STATE, T, seed), 500),
-    }
-
-
-PRESETS = _preset_table()
+    "normal-mean2": (partial(_iid_normal, mean=2.0, variance=1.0), 500),
+    "normal-std": (partial(_iid_normal, mean=0.0, variance=1.0), 500),
+    "ar2": (partial(_ar, coefficients=(0.3, 0.3), noise_sd=1.0), 100),
+    "kmeans-2state": (
+        partial(
+            _regime,
+            means=(0.2, -0.2),
+            variance=0.01,
+            transitions=((0.97, 0.03), (0.03, 0.97)),
+        ),
+        500,
+    ),
+}
 
 
 def run_preset(name: str, T: int | None = None, seed: int = 0) -> SimulationOutput:
     """Generate one of the named scenario presets; T defaults per preset."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
-    factory, default_T = PRESETS[name]
-    return factory(default_T if T is None else T, seed)
+    generate, default_T = PRESETS[name]
+    T = default_T if T is None else T
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    return generate(T=T, seed=seed)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -53,6 +54,9 @@ def test_read_csv_errors(tmp_path):
     p.write_bytes(b"\xff\xfe1.0\n")  # not UTF-8
     with pytest.raises(ValueError, match="can't decode"):
         read_csv_column(str(p), "0")
+    p.write_text('value\n"' + "1" * 200_000 + '"\n')  # past the csv field limit
+    with pytest.raises(ValueError, match="row 2: field larger than field limit"):
+        read_csv_column(str(p), "value")
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):
@@ -273,6 +277,25 @@ def test_simulate_iid_has_empty_state_column(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert all(r[2] == "" for r in rows[1:])
+
+
+# sha256 of `simulate <preset> --T 64 --seed 0`, recorded before the presets
+# became plain parameters; a refactor that moves a random draw changes them
+PRESET_DIGESTS = {
+    "sim1-3state": "9a655949f1db984eccf3bd85aade6a6c98ba347148b102353d6d240d73f7085c",
+    "sim2-4state": "370df6c8d22156055a038ad251ee623d625314a9f0459945f00eb8e9fd521a00",
+    "normal-mean2": "e9fd3cda8f5c65e4675fb7841606838280995e96f70360bebf4292e80278258c",
+    "normal-std": "3db56ad6ec97f573014b141d069ccd644eae7d768cf4f9aff5fa83b286b51ec9",
+    "ar2": "c9a27a1a19d1744e37a0c74cc5e4d50ef6ac4234178525260278ad489eaae996",
+    "kmeans-2state": "f97a31c3a2b279c793902535d68f3d89b7098b374465ae4c716caa400b789c3e",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
+def test_simulate_preset_draws_are_pinned(tmp_path, preset):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", preset, "--T", "64", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_DIGESTS[preset]
 
 
 def test_compare_pipeline(tmp_path):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -19,11 +19,29 @@ from steppursuit.core import l2_norm
 from steppursuit.dictionary import (
     WaveformAtom,
     alternating_pair_modulus,
-    cell_overlap_integral,
     inner_product,
-    overlap_interval,
     partial_window_modulus,
 )
+
+
+def window(atom):
+    """The atom's support [u - t/2, u + t/2]."""
+    return atom.u - atom.t / 2.0, atom.u + atom.t / 2.0
+
+
+def cell_integral(j, atom):
+    """Integral of exp(-2 pi i xi x) over cell j's overlap with the window,
+    read off the inner product with the unit vector e_j: sqrt(t) <e_j, G>."""
+    e = np.zeros(j)
+    e[j - 1] = 1.0
+    return math.sqrt(atom.t) * inner_product(e, atom)
+
+
+def overlap(j, atom):
+    """Cell j's overlap with the window, or None when it is empty or a point."""
+    lo, hi = window(atom)
+    lo, hi = max(j - 0.5, lo), min(j + 0.5, hi)
+    return (lo, hi) if lo < hi else None
 
 
 def quad_inner_product(coeffs, atom):
@@ -41,7 +59,7 @@ def quad_inner_product(coeffs, atom):
             return coeffs[j - 1]
         return 0.0
 
-    lo, hi = atom.window
+    lo, hi = window(atom)
     cuts = sorted(
         {lo, hi} | {j + 0.5 for j in range(0, len(coeffs) + 1) if lo < j + 0.5 < hi}
     )
@@ -54,7 +72,7 @@ def quad_inner_product(coeffs, atom):
 
 def atom_value(atom, x):
     """G(x) itself, for the unit-norm quadrature check."""
-    lo, hi = atom.window
+    lo, hi = window(atom)
     if x < lo or x > hi:
         return 0.0
     return cmath.exp(2j * math.pi * atom.xi * x) / math.sqrt(atom.t)
@@ -63,7 +81,7 @@ def atom_value(atom, x):
 def test_atom_has_unit_norm():
     for t, xi, u in [(1.0, 0.0, 1.0), (0.3, 2.0, -1.5), (7.0, -0.4, 3.25)]:
         atom = WaveformAtom(t, xi, u)
-        lo, hi = atom.window
+        lo, hi = window(atom)
         val, _ = quad(lambda x: abs(atom_value(atom, x)) ** 2, lo, hi, limit=200)
         assert val == pytest.approx(1.0, abs=1e-9)
 
@@ -79,18 +97,20 @@ def test_atom_rejects_bad_scale():
 
 def test_overlap_interval():
     atom = WaveformAtom(1.0, 0.0, 1.0)  # window [0.5, 1.5]
-    assert overlap_interval(1, atom) == (0.5, 1.5)
-    assert overlap_interval(2, atom) is None  # touching only
-    assert overlap_interval(5, atom) is None
+    assert cell_integral(1, atom) == 1.0
+    assert cell_integral(2, atom) == 0.0  # touching only
+    assert cell_integral(5, atom) == 0.0
+    assert cell_integral(2, WaveformAtom(1.0, 0.7, 1.0)) == 0.0  # touching, modulated
+    assert cell_integral(2, WaveformAtom(1.0, 0.3, 3.0)) == 0.0  # touching from the right
     wide = WaveformAtom(3.0, 0.0, 2.0)  # window [0.5, 3.5]
-    assert overlap_interval(2, wide) == (1.5, 2.5)
-    assert overlap_interval(3, wide) == (2.5, 3.5)
+    assert cell_integral(2, wide) == pytest.approx(1.0, rel=1e-15)
+    assert cell_integral(3, wide) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_cell_overlap_integral_examples():
-    assert cell_overlap_integral(1, WaveformAtom(1, 0, 1)) == 1.0
-    assert abs(cell_overlap_integral(1, WaveformAtom(1, 1, 1))) <= 1e-12
-    assert cell_overlap_integral(1, WaveformAtom(0.5, 0, 1)) == 0.5
+    assert cell_integral(1, WaveformAtom(1, 0, 1)) == 1.0
+    assert abs(cell_integral(1, WaveformAtom(1, 1, 1))) <= 1e-12
+    assert cell_integral(1, WaveformAtom(0.5, 0, 1)) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_cell_overlap_integral_matches_quadrature():
@@ -100,8 +120,8 @@ def test_cell_overlap_integral_matches_quadrature():
         xi = float(rng.uniform(-3.0, 3.0)) if rng.random() > 0.2 else 0.0
         u = float(rng.uniform(-1.0, 4.0))
         atom = WaveformAtom(t, xi, u)
-        got = cell_overlap_integral(2, atom)
-        seg = overlap_interval(2, atom)
+        got = cell_integral(2, atom)
+        seg = overlap(2, atom)
         if seg is None:
             assert got == 0.0
             continue
@@ -144,17 +164,18 @@ def test_cauchy_schwarz(coeffs, t, xi, u):
 
 
 @given(
-    st.integers(min_value=-3, max_value=8),
+    st.integers(min_value=1, max_value=8),
     st.floats(min_value=0.01, max_value=10),
     st.floats(min_value=-3, max_value=3),
     st.floats(min_value=-5, max_value=10),
 )
+@example(j=7, t=5.0, xi=5e-324, u=4.5)  # subnormal frequency
 @settings(max_examples=300)
 def test_overlap_integral_bounded_by_overlap_length(j, t, xi, u):
     atom = WaveformAtom(t, xi, u)
-    seg = overlap_interval(j, atom)
+    seg = overlap(j, atom)
     length = 0.0 if seg is None else seg[1] - seg[0]
-    assert abs(cell_overlap_integral(j, atom)) <= length + 1e-12
+    assert abs(cell_integral(j, atom)) <= length + 1e-12
 
 
 @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=12))

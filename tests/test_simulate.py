@@ -2,79 +2,57 @@ import numpy as np
 import pytest
 
 from steppursuit.simulate import (
-    ARSpec,
     PRESETS,
-    RegimeSpec,
+    _ar,
+    _iid_normal,
+    _regime,
     kmeans_1d,
     mse,
     run_preset,
-    simulate_ar,
-    simulate_iid_normal,
-    simulate_regime,
 )
 
-TWO_STATE = RegimeSpec(
-    means=(0.0, 1.0), variance=0.04, transitions=((0.9, 0.1), (0.2, 0.8))
-)
-
-
-def test_regime_spec_validation():
-    with pytest.raises(ValueError, match="sum"):
-        RegimeSpec((0.0, 1.0), 0.01, ((0.9, 0.2), (0.2, 0.8)))
-    with pytest.raises(ValueError, match="0, 1"):
-        RegimeSpec((0.0, 1.0), 0.01, ((1.1, -0.1), (0.2, 0.8)))
-    with pytest.raises(ValueError):
-        RegimeSpec((0.0, 1.0), -0.01, ((0.9, 0.1), (0.2, 0.8)))
-    with pytest.raises(ValueError):
-        RegimeSpec((0.0, 1.0), 0.01, ((1.0,),))  # wrong shape
-
-
-def test_ar_spec_validation():
-    with pytest.raises(ValueError):
-        ARSpec((), 1.0)
-    with pytest.raises(ValueError):
-        ARSpec((0.5,), -1.0)
+# a two-state chain: (means, variance, transitions)
+TWO_STATE = ((0.0, 1.0), 0.04, ((0.9, 0.1), (0.2, 0.8)))
 
 
 def test_regime_output_shape_and_states():
-    out = simulate_regime(TWO_STATE, 300, seed=5)
+    out = _regime(*TWO_STATE, 300, seed=5)
     assert len(out.values) == len(out.states) == len(out.true_means) == 300
     assert set(np.unique(out.states)) <= {1, 2}
-    assert out.seed == 5
     # the mean path is the state's mean at every step
-    means = np.asarray(TWO_STATE.means)
+    means = np.asarray(TWO_STATE[0])
     assert np.array_equal(out.true_means, means[out.states - 1])
 
 
 def test_regime_reproducible():
-    a = simulate_regime(TWO_STATE, 200, seed=9)
-    b = simulate_regime(TWO_STATE, 200, seed=9)
+    a = _regime(*TWO_STATE, 200, seed=9)
+    b = _regime(*TWO_STATE, 200, seed=9)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.states, b.states)
-    c = simulate_regime(TWO_STATE, 200, seed=10)
+    c = _regime(*TWO_STATE, 200, seed=10)
     assert not np.array_equal(a.values, c.values)
 
 
 def test_identity_transitions_freeze_the_state():
-    spec = RegimeSpec(
+    out = _regime(
         means=(-1.0, 0.0, 1.0),
         variance=0.0,
         transitions=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        T=100,
+        seed=3,
     )
-    out = simulate_regime(spec, 100, seed=3)
     assert len(set(out.states.tolist())) == 1
     assert np.all(out.values == out.true_means)
 
 
 def test_single_state_zero_variance_is_constant():
-    spec = RegimeSpec(means=(0.7,), variance=0.0, transitions=((1.0,),))
-    out = simulate_regime(spec, 50, seed=0)
+    out = _regime(means=(0.7,), variance=0.0, transitions=((1.0,),), T=50, seed=0)
     assert np.all(out.values == 0.7)
     assert np.all(out.states == 1)
 
 
 def test_empirical_transition_frequencies():
-    out = simulate_regime(TWO_STATE, 50_000, seed=2)
+    out = _regime(*TWO_STATE, 50_000, seed=2)
     s = out.states
     P = np.zeros((2, 2))
     for i in range(2):
@@ -82,19 +60,17 @@ def test_empirical_transition_frequencies():
         total = here.sum()
         for j in range(2):
             P[i, j] = np.sum(here & (s[1:] == j + 1)) / total
-    assert np.max(np.abs(P - np.asarray(TWO_STATE.matrix()))) <= 0.02
+    assert np.max(np.abs(P - np.asarray(TWO_STATE[2]))) <= 0.02
 
 
 def test_noise_sample_variance():
-    out = simulate_regime(TWO_STATE, 50_000, seed=8)
+    out = _regime(*TWO_STATE, 50_000, seed=8)
     noise = out.values - out.true_means
     assert np.var(noise) == pytest.approx(0.04, rel=0.10)
 
 
 def test_ar_conditional_means():
-    spec = ARSpec((0.5, -0.25), 1.0)
-    out = simulate_ar(spec, 64, seed=1)
-    assert out.burn_in == 2
+    out = _ar((0.5, -0.25), 1.0, 64, seed=1)
     assert out.states.size == 0
     y, mu = out.values, out.true_means
     assert mu[0] == 0.0
@@ -104,16 +80,16 @@ def test_ar_conditional_means():
 
 
 def test_ar_zero_coefficient_is_iid():
-    out = simulate_ar(ARSpec((0.0,), 2.0), 1000, seed=4)
+    out = _ar((0.0,), 2.0, 1000, seed=4)
     assert np.all(out.true_means == 0.0)
     assert np.std(out.values) == pytest.approx(2.0, rel=0.10)
 
 
 def test_iid_normal():
-    out = simulate_iid_normal(3.0, 0.0, 25, seed=0)
+    out = _iid_normal(3.0, 0.0, 25, seed=0)
     assert np.all(out.values == 3.0)
     assert np.all(out.true_means == 3.0)
-    big = simulate_iid_normal(-1.0, 4.0, 50_000, seed=6)
+    big = _iid_normal(-1.0, 4.0, 50_000, seed=6)
     assert np.var(big.values) == pytest.approx(4.0, rel=0.10)
     assert np.mean(big.values) == pytest.approx(-1.0, abs=0.05)
 
@@ -182,7 +158,7 @@ def test_presets_exist_with_expected_defaults():
     assert len(out.values) == 500
     assert np.all(out.true_means == 2.0)
     out = run_preset("ar2", seed=1)
-    assert len(out.values) == 100 and out.burn_in == 2
+    assert len(out.values) == 100
     out = run_preset("kmeans-2state", seed=1)
     assert len(out.values) == 500
     assert set(np.round(np.unique(out.true_means), 6)) <= {-0.2, 0.2}
