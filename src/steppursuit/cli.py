@@ -274,9 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n", type=int, default=None, help="max sequence length")
-    p.add_argument("--grid-step", type=float, default=None)
-    p.add_argument("--xi-step", type=float, default=None)
+    p.add_argument("--n", type=int, default=None,
+                   help="max sequence length (theorem1, theorem2, lemma1) or the "
+                   "sequence length (energy); other suites ignore it")
+    p.add_argument("--grid-step", type=float, default=None,
+                   help="scale and centre grid step (theorem1, theorem2, lemma1); "
+                   "other suites ignore it")
+    p.add_argument("--xi-step", type=float, default=None,
+                   help="frequency grid step (theorem1, lemma1); other suites ignore it")
     p.add_argument("--out", default=None, help="report path (default stdout)")
     p.set_defaults(func=cmd_verify)
 

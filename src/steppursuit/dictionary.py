@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from .core import as_values
@@ -41,7 +42,7 @@ class WaveformAtom:
     def __post_init__(self):
         for name in ("t", "xi", "u"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise ValueError(f"non-finite atom parameter {name}")
         if self.t <= 0:
             raise ValueError("atom scale t must be positive")

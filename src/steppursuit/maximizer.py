@@ -14,12 +14,12 @@ starts, as on a level stretch whose prefix sum is close to a line, chord
 tests on the prefix sum (the hull lemma below) drop one sign of a start's
 bound, or both. On noise, and on a level plus noise, that costs O(N log N)
 plus the surviving windows. A convex (or concave) prefix sum, such as that of
-1..N, keeps every start on its hull; blocks then scan densely, so the worst
-case stays the O(N^2) of the plain per-length scan. The result is the exact
-argmax, tie-break included, bit for bit. `brute_force_best` recomputes every
-window sum independently with compensated summation and exists only to
-cross-check it. `three_term_max` evaluates a third formulation, a pointwise
-maximum of three window families indexed by (n, k), that must agree with both.
+1..N, keeps every start on its hull; every block then gathers the windows of
+every start, so the worst case stays O(N^2). The result is the exact argmax,
+tie-break included, bit for bit. `brute_force_best` recomputes every window
+sum independently with compensated summation and exists only to cross-check
+it. `three_term_max` evaluates a third formulation, a pointwise maximum of
+three window families indexed by (n, k), that must agree with both.
 
 Hull lemma (the prefix-hull argument for maximum-density segments: Chung &
 Lu, SIAM J. Comput. 2004; Goldwasser, Kao & Lu, JCSS 2005). Let P be the
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_values
-from .dictionary import WaveformAtom
 
 __all__ = [
     "WindowAtom",
@@ -77,10 +76,6 @@ class WindowAtom:
         if self.length < 1:
             raise ValueError("window length must be >= 1")
 
-    def as_waveform(self) -> WaveformAtom:
-        """The same window as a continuous atom: scale L, centre mid-window."""
-        return WaveformAtom(float(self.length), 0.0, self.start + (self.length - 1) / 2.0)
-
 
 @dataclass(frozen=True)
 class ScoredAtom:
@@ -89,10 +84,6 @@ class ScoredAtom:
     atom: WindowAtom
     value: float
     signed_sum: float
-
-
-# Cost of one gathered window sum relative to one sum in the per-length slice
-_GATHER_COST = 2.0
 
 
 def _prefix(a: np.ndarray) -> np.ndarray:
@@ -117,6 +108,8 @@ def best_window(seq) -> ScoredAtom:
     monotone, so a larger operand never rounds to a smaller difference or
     quotient. A start with bound_i <= the incumbent is dropped; its windows
     could at best tie, and a tie goes to the incumbent's shorter length.
+    The incumbent starts at block w = 1's answer, max |P[i + 1] - P[i]|;
+    that block's bounds are the same differences, so it drops every start.
 
     Where many starts survive (survivors * w > N, so the block's gather
     alone would cost more than a pass over the input), blocks with w >= 2
@@ -152,9 +145,7 @@ def best_window(seq) -> ScoredAtom:
 
     The surviving starts are evaluated exactly: their window sums are
     gathered in chunks of about N elements and reduced to a maximum per
-    length. When so many starts survive that the gather would cost more
-    than the per-length slice over all starts, the block runs that slice
-    instead. Within a block the first (shortest) maximising length is
+    length. Within a block the first (shortest) maximising length is
     taken, and only a strictly larger value displaces the incumbent, which
     realises the tie-break ordering; the start is the first maximiser at
     the chosen length.
@@ -178,8 +169,8 @@ def best_window(seq) -> ScoredAtom:
     lo = p.copy()
     fi = np.finfo(float)
     tol = 8.0 * fi.eps * (max(pmax, -pmin) + fi.tiny) * math.sqrt(N)
-    best_val = -1.0
-    best_len = 0
+    best_val = float(np.abs(p[1:] - p[:-1]).max())
+    best_len = 1
     w = 1
     while w <= N:
         lengths = np.arange(w, min(2 * w, N + 1))
@@ -207,29 +198,19 @@ def best_window(seq) -> ScoredAtom:
             np.maximum(up, down, out=up)
             up /= math.sqrt(w)
             starts = starts[up > best_val]
-        dense_cost = lengths.size * (N + 1) - int(lengths.sum())
-        if starts.size * lengths.size * _GATHER_COST < dense_cost:
-            mags = np.zeros(lengths.size)
-            chunk = max(1, N // lengths.size)
-            for c in range(0, starts.size, chunk):
-                s = starts[c : c + chunk]
-                d = ends[s, w : w + lengths.size]
-                d -= p[s, None]
-                np.abs(d, out=d)
-                np.maximum(mags, d.max(axis=0), out=mags)
-            vals = mags / np.sqrt(lengths)
-            k = int(vals.argmax())
-            if vals[k] > best_val:
-                best_val = float(vals[k])
-                best_len = int(lengths[k])
-        else:
-            for L in lengths.tolist():
-                sums = p[L:] - p[: N - L + 1]
-                mag = max(sums.max(), -sums.min())
-                val = mag / math.sqrt(L)
-                if val > best_val:
-                    best_val = val
-                    best_len = L
+        mags = np.zeros(lengths.size)
+        chunk = max(1, N // lengths.size)
+        for c in range(0, starts.size, chunk):
+            s = starts[c : c + chunk]
+            d = ends[s, w : w + lengths.size]
+            d -= p[s, None]
+            np.abs(d, out=d)
+            np.maximum(mags, d.max(axis=0), out=mags)
+        vals = mags / np.sqrt(lengths)
+        k = int(vals.argmax())
+        if vals[k] > best_val:
+            best_val = float(vals[k])
+            best_len = int(lengths[k])
         np.maximum(hi[:n], hi[w:], out=hi[:n])
         np.minimum(lo[:n], lo[w:], out=lo[:n])
         w *= 2

@@ -143,7 +143,8 @@ def sweep_theorem2(trials=50, n_max=12, grid_step=0.02, seed=0):
         u_grid = _steps(0.0, N + 1, grid_step)
         gmax = grid_max_unmodulated(a, t_grid, u_grid)
         worst = max(worst, gmax - scored.value)
-        ip = inner_product(a, scored.atom.as_waveform())
+        L, start = scored.atom.length, scored.atom.start
+        ip = inner_product(a, WaveformAtom(float(L), 0.0, start + (L - 1) / 2.0))
         attain = max(attain, abs(abs(ip) - scored.value))
     return _report(
         "theorem2", trials, seed, 1e-6, max(worst, attain),

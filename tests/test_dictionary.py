@@ -93,6 +93,14 @@ def test_atom_rejects_bad_scale():
         WaveformAtom(-2.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         WaveformAtom(float("inf"), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        WaveformAtom(2.0, float("nan"), 1.0)
+    with pytest.raises(ValueError):
+        WaveformAtom("2", 0.0, 1.0)
+    # any finite real is a valid parameter, numpy integers included
+    atom = WaveformAtom(np.int64(2), np.int32(0), np.int64(2))
+    seq = [0.5, -1.0, 3.0]
+    assert inner_product(seq, atom) == inner_product(seq, WaveformAtom(2.0, 0.0, 2.0))
 
 
 def test_overlap_interval():

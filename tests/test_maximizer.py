@@ -47,9 +47,6 @@ def test_window_atom_validation():
         WindowAtom(0, 1)
     with pytest.raises(ValueError):
         WindowAtom(1, 0)
-    atom = WindowAtom(3, 2)
-    wf = atom.as_waveform()
-    assert wf.t == 2.0 and wf.xi == 0.0 and wf.u == 3.5
 
 
 def test_best_window_examples():
@@ -77,6 +74,13 @@ def test_best_window_tie_breaks():
     for seq, start in ((a, 1), (a[::-1], 76)):
         got = best_window(seq)
         assert (got.atom.start, got.atom.length, got.value) == (start, 16, 20.0)
+        assert got == brute_force_best(seq)
+    # a singleton and four twos in the later block [4, 8) both score 4; the
+    # singleton, the incumbent from block 1, keeps the tie on either side
+    a = [4.0, -4.0, 2.0, 2.0, 2.0, 2.0]
+    for seq, expected in ((a, (1, 1, 4.0)), (a[::-1], (5, 1, -4.0))):
+        got = best_window(seq)
+        assert (got.atom.start, got.atom.length, got.signed_sum) == expected
         assert got == brute_force_best(seq)
 
 
