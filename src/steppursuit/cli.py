@@ -6,7 +6,8 @@ Subcommands:
   compare    pursuit vs k-means piecewise means against a known mean path
   verify     run a numerical verification sweep and report the worst violation
 
-Exit codes: 0 success, 1 verification failure, 2 usage, input or output error.
+Exit codes: 0 success, 1 verification failure, 2 usage, input or output error,
+or an allocation refused.
 """
 
 from __future__ import annotations
@@ -302,8 +303,9 @@ def main(argv=None) -> int:
                 parser.error(f"{flag} must be finite and > 0")
     try:
         return args.func(args)
-    except ValueError as e:  # bad input, unreadable or unwritable files
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, MemoryError) as e:  # bad input or files, a refused allocation
+        # a bare MemoryError carries no message
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

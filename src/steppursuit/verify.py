@@ -5,9 +5,13 @@ continuous atom parameters (scale t, centre u, frequency xi) for batches of
 random sequences, and reports the worst violation seen. The grid inner
 products are computed by one vectorised engine, shared by the modulated and
 unmodulated sweeps, not by the per-atom code in `dictionary`, so the two
-routes check each other. It evaluates the cumulative integral of
-f(x) exp(-2 pi i xi x) once per distinct window end u -/+ t/2 and per xi, and
-gathers each window's inner product as a difference of two of those values.
+routes check each other. It takes each window's inner product as the
+difference of the cumulative integral of f(x) exp(-2 pi i xi x) at the
+window's ends u -/+ t/2. Since f is real, the integral at -xi is the exact
+conjugate of the one at xi, so only the distinct |xi| are swept. With one
+|xi| (as in the unmodulated sweep) the integral is evaluated at every end
+directly; with more, once per distinct end and per |xi|, and the
+differences are gathered by index.
 
 Sweeps:
   theorem2   grid max over unmodulated atoms is attained at the best
@@ -66,24 +70,35 @@ def _grid_max(a: np.ndarray, t_grid, u_grid, xi_grid) -> float:
     """Max of |<f, G_{t,xi,u}>| over the (t, u, xi) grid.
 
     The inner product over the window [u - t/2, u + t/2] is a difference of
-    the cumulative integral at its two ends. Grid windows share few distinct
-    ends, so for each xi the integral is evaluated once per distinct end and
-    the differences are gathered by index.
+    the cumulative integral at its two ends. For real f the integral at -xi
+    is the exact complex conjugate of the one at xi (every factor of
+    `_cumulative` is odd or even in xi), so the moduli are bitwise equal and
+    only the distinct |xi| are swept. With one |xi| left, the integral is
+    evaluated at both ends of every window where they stand. With more,
+    grid windows share few distinct ends, so for each |xi| the integral is
+    evaluated once per distinct end and the differences are gathered by
+    index: the sort pays for itself over the frequencies.
     """
     t = np.asarray(t_grid, dtype=float)[:, None]
     u = np.asarray(u_grid, dtype=float)[None, :]
-    los = u - t / 2.0
-    his = u + t / 2.0
-    ends = np.unique(np.concatenate((los.ravel(), his.ravel())))
-    ilo = np.searchsorted(ends, los)
-    ihi = np.searchsorted(ends, his)
-    del los, his  # freed before the per-xi temporaries, to keep peak memory down
+    xis = np.unique(np.abs(np.asarray(xi_grid, dtype=float)))
+    if xis.size > 1:
+        los = u - t / 2.0
+        his = u + t / 2.0
+        ends = np.unique(np.concatenate((los.ravel(), his.ravel())))
+        ilo = np.searchsorted(ends, los)
+        ihi = np.searchsorted(ends, his)
+        del los, his  # freed before the per-xi temporaries, to keep peak memory down
     root = np.sqrt(t)
     best = 0.0
-    for xi in np.asarray(xi_grid, dtype=float):
-        c = _cumulative(a, xi, ends)
-        vals = c[ihi]
-        vals -= c[ilo]
+    for xi in xis:
+        if xis.size == 1:
+            vals = _cumulative(a, xi, u + t / 2.0)
+            vals -= _cumulative(a, xi, u - t / 2.0)
+        else:
+            c = _cumulative(a, xi, ends)
+            vals = c[ihi]
+            vals -= c[ilo]
         vals = np.abs(vals)
         vals /= root
         best = max(best, float(vals.max()))

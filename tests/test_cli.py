@@ -215,6 +215,25 @@ def test_verify_rejects_grid_step_past_the_range(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        # --n 1 keeps the real scale and centre grids at 2M points each; the
+        # 2M x 2M window array is refused on the request
+        ["verify", "theorem2", "--grid-step", "1e-6", "--n", "1"],
+        ["verify", "theorem1", "--xi-step", "1e-12"],
+        ["simulate", "normal-std", "--T", "10000000000000"],
+    ],
+)
+def test_refused_allocation_is_an_input_error(capsys, argv):
+    # exit 1 is reserved for a failed verification, so an impossible
+    # allocation exits 2 with an error line and no traceback
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["approx", "{csv}", "--column", "0"],
         ["verify", "remark", "--trials", "2"],
     ],

@@ -5,7 +5,33 @@ import numpy as np
 import pytest
 
 from steppursuit import WaveformAtom, inner_product, run_suite
-from steppursuit.verify import _steps, grid_max_modulated, grid_max_unmodulated
+from steppursuit.verify import (
+    _cumulative,
+    _grid_max,
+    _steps,
+    grid_max_modulated,
+    grid_max_unmodulated,
+)
+
+
+def sorted_grid_max(a, t_grid, u_grid, xi_grid) -> float:
+    """Reference engine: every xi of the grid, the cumulative integral once
+    per distinct window end (found by a sort), window differences gathered
+    by index. `_grid_max` folds +/-xi and skips the sort for one |xi|, and
+    must agree with this bit for bit."""
+    t = np.asarray(t_grid, dtype=float)[:, None]
+    u = np.asarray(u_grid, dtype=float)[None, :]
+    los = u - t / 2.0
+    his = u + t / 2.0
+    ends = np.unique(np.concatenate((los.ravel(), his.ravel())))
+    ilo = np.searchsorted(ends, los)
+    ihi = np.searchsorted(ends, his)
+    root = np.sqrt(t)
+    best = 0.0
+    for xi in np.asarray(xi_grid, dtype=float):
+        c = _cumulative(a, xi, ends)
+        best = max(best, float((np.abs(c[ihi] - c[ilo]) / root).max()))
+    return best
 
 
 def test_grid_engine_agrees_with_per_atom_inner_product():
@@ -55,6 +81,58 @@ def test_grid_engine_max_over_multi_point_grids():
             for u in u_grid
         )
         assert grid_max_unmodulated(a, t_grid, u_grid) == pytest.approx(unmod, abs=1e-12)
+
+
+def test_grid_engine_matches_sorted_reference_bitwise():
+    rng = np.random.default_rng(23)
+    for k in range(40):
+        n = int(rng.integers(1, 9))
+        a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if k % 4 < 2:  # alternating signs: the max sits at |xi| = 1/2, not 0
+            a = np.abs(a) * (-1.0) ** np.arange(n)
+        if k % 2 == 0:  # lattice: many windows share an end
+            step = float(rng.choice([0.05, 0.1, 0.25]))
+            t_grid = _steps(step, n + 1, step)
+            u_grid = _steps(0.0, n + 1, step)
+        else:
+            t_grid = rng.uniform(0.05, n + 1.0, 7)
+            u_grid = rng.uniform(-1.0, n + 2.0, 9)
+        xi = float(rng.uniform(0.01, 3.0))
+        for xi_grid in (
+            [0.0],
+            [xi],
+            [-xi],
+            [-xi, xi],
+            [-0.0, 0.0],
+            [-0.5, 0.0],
+            [xi, xi, 0.0, -xi, 0.0],
+            _steps(-2.0, 2.0, 0.05),
+            rng.uniform(-3.0, 3.0, 4),
+        ):
+            assert _grid_max(a, t_grid, u_grid, xi_grid) == sorted_grid_max(
+                a, t_grid, u_grid, xi_grid
+            )
+
+
+def test_cumulative_at_minus_xi_is_the_conjugate():
+    # the premise of the +/-xi fold: for real f every factor of the integral
+    # is odd or even in xi, so the conjugate is exact, not merely close
+    rng = np.random.default_rng(24)
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        xi = float(rng.uniform(-4.0, 4.0)) or 1.0
+        y = rng.uniform(-1.0, n + 2.0, (6, 7))
+        plus = _cumulative(a, xi, y)
+        minus = _cumulative(a, -xi, y)
+        assert np.array_equal(minus.real, plus.real)
+        assert np.array_equal(minus.imag, -plus.imag)
+        t_grid = rng.uniform(0.05, n + 1.0, 5)
+        u_grid = rng.uniform(-1.0, n + 2.0, 6)
+        xi_grid = rng.uniform(-3.0, 3.0, 3)
+        assert grid_max_modulated(a, t_grid, u_grid, xi_grid) == grid_max_modulated(
+            a, t_grid, u_grid, -xi_grid
+        )
 
 
 def test_grid_max_unmodulated_finds_plateau():
