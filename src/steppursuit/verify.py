@@ -8,10 +8,12 @@ unmodulated sweeps, not by the per-atom code in `dictionary`, so the two
 routes check each other. It takes each window's inner product as the
 difference of the cumulative integral of f(x) exp(-2 pi i xi x) at the
 window's ends u -/+ t/2. Since f is real, the integral at -xi is the exact
-conjugate of the one at xi, so only the distinct |xi| are swept. With one
-|xi| (as in the unmodulated sweep) the integral is evaluated at every end
-directly; with more, once per distinct end and per |xi|, and the
-differences are gathered by index.
+conjugate of the one at xi, so only the distinct |xi| are swept; the
+frequency grid k * xi_step, |k * xi_step| <= 2, is exactly symmetric about 0
+and holds it, so that fold halves it. With one |xi| (as in the unmodulated
+sweep) the integral is evaluated at every end directly; with more, once per
+distinct end and per |xi|, and the differences are gathered by index into
+buffers reused across the frequencies.
 
 Sweeps:
   theorem2   grid max over unmodulated atoms is attained at the best
@@ -77,31 +79,42 @@ def _grid_max(a: np.ndarray, t_grid, u_grid, xi_grid) -> float:
     evaluated at both ends of every window where they stand. With more,
     grid windows share few distinct ends, so for each |xi| the integral is
     evaluated once per distinct end and the differences are gathered by
-    index: the sort pays for itself over the frequencies.
+    index into buffers allocated once per call: the sort pays for
+    itself over the frequencies.
     """
     t = np.asarray(t_grid, dtype=float)[:, None]
     u = np.asarray(u_grid, dtype=float)[None, :]
     xis = np.unique(np.abs(np.asarray(xi_grid, dtype=float)))
-    if xis.size > 1:
-        los = u - t / 2.0
-        his = u + t / 2.0
-        ends = np.unique(np.concatenate((los.ravel(), his.ravel())))
-        ilo = np.searchsorted(ends, los)
-        ihi = np.searchsorted(ends, his)
-        del los, his  # freed before the per-xi temporaries, to keep peak memory down
     root = np.sqrt(t)
-    best = 0.0
-    for xi in xis:
-        if xis.size == 1:
-            vals = _cumulative(a, xi, u + t / 2.0)
-            vals -= _cumulative(a, xi, u - t / 2.0)
-        else:
-            c = _cumulative(a, xi, ends)
-            vals = c[ihi]
-            vals -= c[ilo]
+    if xis.size == 1:
+        vals = _cumulative(a, xis[0], u + t / 2.0)
+        vals -= _cumulative(a, xis[0], u - t / 2.0)
         vals = np.abs(vals)
         vals /= root
-        best = max(best, float(vals.max()))
+        return float(vals.max())
+    los = u - t / 2.0
+    his = u + t / 2.0
+    ends = np.unique(np.concatenate((los.ravel(), his.ravel())))
+    ilo = np.searchsorted(ends, los)
+    ihi = np.searchsorted(ends, his)
+    del los, his  # freed before the buffers, to keep peak memory down
+    z = np.empty(ihi.shape, dtype=complex)
+    w = np.empty_like(z)
+    m = np.empty(ihi.shape)
+    best = 0.0
+    for xi in xis:
+        # the xi = 0 integral is real; as complex its modulus is unchanged,
+        # since hypot(x, 0) == |x|
+        c = _cumulative(a, xi, ends).astype(complex, copy=False)
+        # every index is in range (searchsorted finds each end in `ends`,
+        # which holds them all), so "clip" never clips; it only spares the
+        # buffered copy that take makes under the default "raise"
+        np.take(c, ihi, out=z, mode="clip")
+        np.take(c, ilo, out=w, mode="clip")
+        z -= w
+        np.abs(z, out=m)
+        m /= root
+        best = max(best, float(m.max()))
     return best
 
 
@@ -120,10 +133,20 @@ def _steps(lo: float, hi: float, step: float) -> np.ndarray:
     below a whole number is rounded up to it, so that grids whose step
     divides the range end on hi despite the rounding of the division; the
     last point can then pass hi by the rounding of lo + step * n."""
-    n = math.floor((hi - lo) / step * (1.0 + 1e-9))
+    n = (hi - lo) / step * (1.0 + 1e-9)
+    if not math.isfinite(n):
+        raise ValueError(f"grid step {step:g} is too small: the grid's point count overflows")
+    n = math.floor(n)
     if n < 0:
         raise ValueError(f"grid step {step:g} is larger than the swept range up to {hi:g}")
     return lo + step * np.arange(n + 1)
+
+
+def _xi_grid(step: float) -> np.ndarray:
+    """k * step for every whole k with |k * step| <= 2 (up to 2 as `_steps`
+    rounds it): exactly symmetric about 0, which it always holds."""
+    half = _steps(0.0, 2.0, step)  # 0, step, .., K * step
+    return np.concatenate((-half[:0:-1], half))
 
 
 def _report(suite, trials, seed, tolerance, max_violation, extras=None):
@@ -170,7 +193,7 @@ def sweep_theorem2(trials=50, n_max=12, grid_step=0.02, seed=0):
 def sweep_theorem1(trials=50, n_max=10, grid_step=0.02, xi_step=0.05, seed=0):
     """Grid max over the full modulated dictionary vs the single-signed closed form."""
     rng = np.random.default_rng(seed)
-    xi_grid = _steps(-2.0, 2.0, xi_step)
+    xi_grid = _xi_grid(xi_step)
     worst = 0.0
     for _ in range(trials):
         N = int(rng.integers(1, n_max + 1))
@@ -187,7 +210,7 @@ def sweep_lemma1(trials=50, n_max=12, grid_step=0.02, xi_step=0.05, seed=0):
     """Scales t <= 1 only: the dictionary max must equal max |a_j|, attained
     by the unit window centred on the largest cell."""
     rng = np.random.default_rng(seed)
-    xi_grid = _steps(-2.0, 2.0, xi_step)
+    xi_grid = _xi_grid(xi_step)
     worst = 0.0
     for _ in range(trials):
         N = int(rng.integers(1, n_max + 1))

@@ -233,6 +233,28 @@ def test_refused_allocation_is_an_input_error(capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
+    [["theorem2", "--grid-step", "5e-324"], ["theorem1", "--xi-step", "1e-309"]],
+)
+def test_tiny_step_is_an_input_error(capsys, argv):
+    # the grid's point count overflows to inf: exit 2 with an error line,
+    # not an OverflowError traceback under exit 1
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: grid step") and "too small" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("xi_step", ["0.8", "0.3"])
+def test_lemma1_passes_at_xi_steps_that_do_not_divide_2(capsys, xi_step):
+    # the lemma's max sits at xi = 0, which the xi grid always holds;
+    # -2 + xi_step * k skipped it, and these runs failed
+    assert main(["verify", "lemma1", "--trials", "3", "--xi-step", xi_step]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ["approx", "{csv}", "--column", "0"],
         ["verify", "remark", "--trials", "2"],

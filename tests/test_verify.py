@@ -9,6 +9,7 @@ from steppursuit.verify import (
     _cumulative,
     _grid_max,
     _steps,
+    _xi_grid,
     grid_max_modulated,
     grid_max_unmodulated,
 )
@@ -107,6 +108,9 @@ def test_grid_engine_matches_sorted_reference_bitwise():
             [-0.5, 0.0],
             [xi, xi, 0.0, -xi, 0.0],
             _steps(-2.0, 2.0, 0.05),
+            _xi_grid(0.05),
+            _xi_grid(0.3),
+            _xi_grid(2.0),
             rng.uniform(-3.0, 3.0, 4),
         ):
             assert _grid_max(a, t_grid, u_grid, xi_grid) == sorted_grid_max(
@@ -159,6 +163,28 @@ def test_steps_stay_inside_the_range():
         assert grid.size >= 1 and grid[0] == lo and grid[-1] <= hi
     with pytest.raises(ValueError, match="larger than the swept range"):
         _steps(2.0, 1.0, 2.0)
+
+
+def test_xi_grid_is_symmetric_and_holds_zero():
+    for step in (0.05, 0.3, 0.8, 0.7, 1.0 / 3.0, 2.0, 4.0, 5.0, 1e-3):
+        g = _xi_grid(step)
+        assert np.array_equal(g, -g[::-1])
+        assert 0.0 in g
+        assert np.abs(g).max() <= 2.0 * (1.0 + 1e-9)
+    # the default grid: the points of -2 + 0.05 k to within an ulp of the
+    # range's end 2 (that sum rounds at the scale of 2, so near 0 it is many
+    # ulps of the point off), but its 81 values fold to 41 distinct |xi|
+    # instead of 68
+    g = _xi_grid(0.05)
+    ref = _steps(-2.0, 2.0, 0.05)
+    assert g.size == 81 and np.unique(np.abs(g)).size == 41
+    assert np.unique(np.abs(ref)).size == 68
+    assert np.abs(g - ref).max() <= np.spacing(2.0)
+    # a step that does not divide 2 keeps 0 and drops the ends, where
+    # -2 + step * k kept -2 and skipped 0
+    assert _xi_grid(2.0).tolist() == [-2.0, 0.0, 2.0]
+    assert _xi_grid(4.0).tolist() == [0.0]
+    assert _xi_grid(5.0).tolist() == [0.0]
 
 
 def test_run_suite_rejects_unknown():
