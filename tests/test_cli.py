@@ -247,8 +247,8 @@ def test_tiny_step_is_an_input_error(capsys, argv):
 
 @pytest.mark.parametrize("xi_step", ["0.8", "0.3"])
 def test_lemma1_passes_at_xi_steps_that_do_not_divide_2(capsys, xi_step):
-    # the lemma's max sits at xi = 0, which the xi grid always holds;
-    # -2 + xi_step * k skipped it, and these runs failed
+    # the lemma's max sits at xi = 0, so a frequency grid that skipped 0
+    # would fail it falsely at these steps
     assert main(["verify", "lemma1", "--trials", "3", "--xi-step", xi_step]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
 

@@ -180,8 +180,7 @@ def test_xi_grid_is_symmetric_and_holds_zero():
     assert g.size == 81 and np.unique(np.abs(g)).size == 41
     assert np.unique(np.abs(ref)).size == 68
     assert np.abs(g - ref).max() <= np.spacing(2.0)
-    # a step that does not divide 2 keeps 0 and drops the ends, where
-    # -2 + step * k kept -2 and skipped 0
+    # a step that does not divide 2 keeps 0 and drops the ends
     assert _xi_grid(2.0).tolist() == [-2.0, 0.0, 2.0]
     assert _xi_grid(4.0).tolist() == [0.0]
     assert _xi_grid(5.0).tolist() == [0.0]
