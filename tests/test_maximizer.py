@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ sequences = st.lists(seq_floats, min_size=1, max_size=48)
 
 def dense_best_window(seq) -> ScoredAtom:
     """The plain per-length scan over every window, kept as the reference the
-    block-bounded best_window must match bit for bit."""
+    rectangle search in best_window must match bit for bit."""
     a = np.asarray(seq, dtype=float)
     N = a.size
     p = np.concatenate(([0.0], np.cumsum(a)))
@@ -68,15 +69,38 @@ def test_best_window_tie_breaks():
     # all windows of {0,0} score 0; shortest then earliest wins
     got = best_window([0.0, 0.0])
     assert (got.atom.start, got.atom.length) == (1, 1)
-    # 16 fives and 25 fours both score exactly 20, with lengths in the same
-    # block [16, 32); the shorter window wins on either side
+    # 16 fives and 25 fours both score exactly 20, both lengths left to the
+    # rectangle search; the shorter window wins on either side
     a = np.concatenate((np.full(16, 5.0), np.zeros(50), np.full(25, 4.0)))
     for seq, start in ((a, 1), (a[::-1], 76)):
         got = best_window(seq)
         assert (got.atom.start, got.atom.length, got.value) == (start, 16, 20.0)
         assert got == brute_force_best(seq)
-    # a singleton and four twos in the later block [4, 8) both score 4; the
-    # singleton, the incumbent from block 1, keeps the tie on either side
+    # n values of v score v sqrt(n), so k^2 values k + 1 and (k + 1)^2
+    # values k tie at k(k + 1): 6, 12 and 30 below. 4 threes against 9 twos
+    # puts the tie across the short passes and the search; the others tie
+    # inside the search. Each pair is tried in both orders and mirrored; the
+    # gap of zeros keeps any window that spans both blocks below the tie,
+    # and the shorter block always wins. The leading zero puts one block at
+    # an odd prefix index, where a rectangle's bound can equal its score
+    # exactly: a search that dropped rectangles whose bound only ties the
+    # incumbent would lose the shorter window there.
+    for (n, v), (m, w) in (
+        ((4, 3.0), (9, 2.0)),
+        ((9, 4.0), (16, 3.0)),
+        ((25, 6.0), (36, 5.0)),
+    ):
+        gap = np.zeros(2 * (n + m))
+        for first, second in (((n, v), (m, w)), ((m, w), (n, v))):
+            a = np.concatenate(([0.0], np.full(*first), gap, np.full(*second)))
+            for seq in (a, a[::-1]):
+                got = best_window(seq)
+                window = seq[got.atom.start - 1 : got.atom.start - 1 + got.atom.length]
+                assert got.atom.length == n and (window == v).all()
+                assert got.value == v * math.sqrt(n)
+                assert got == brute_force_best(seq)
+    # a singleton and four twos both score 4; the singleton, found by the
+    # length-1 pass, keeps the tie on either side
     a = [4.0, -4.0, 2.0, 2.0, 2.0, 2.0]
     for seq, expected in ((a, (1, 1, 4.0)), (a[::-1], (5, 1, -4.0))):
         got = best_window(seq)
@@ -119,15 +143,18 @@ def test_best_window_rejects_overflowing_sums(seq):
     "N", sorted({2**k + d for k in range(10) for d in (-1, 0, 1)} - {0}) + [3000]
 )
 def test_best_window_block_edges(N):
-    # sizes around the block boundaries 2^k; on noise most starts are pruned
-    # by the range bound, on a level plus noise nearly all survive it and the
-    # chord tests decide. The other inputs have exact window sums, so the
+    # sizes N = 2^k - 1, 2^k, 2^k + 1: N + 1 prefix entries fill a power of
+    # two exactly or just overflow one, the edges of the pyramid's padding,
+    # and N = 7, 8, 9 straddle the length at which the rectangle search
+    # starts. On noise the best window is short
+    # and most rectangles drop near the top; on a level plus noise it spans
+    # nearly everything. The other inputs have exact window sums, so the
     # whole atom must also match brute_force_best where N keeps it cheap:
     # seven regimes of equal length with a slow dyadic drift, whose prefix
-    # sum falls and rises again within a few block widths of the best
-    # window; a constant run and a repeating arithmetic run, whose prefix
-    # sums have collinear points and integer ties; and 1..N, whose convex
-    # prefix sum leaves every start.
+    # sum falls and rises again near the best window; a constant run and a
+    # repeating arithmetic run, whose many equal window sums leave bounds
+    # that tie the incumbent; and 1..N, whose convex prefix sum gives every
+    # rectangle a bound near the best.
     rng = np.random.default_rng(N)
     noise = rng.normal(size=N)
     x = np.arange(N)
@@ -176,7 +203,7 @@ def test_best_window_matches_brute_force_value(seq):
 
 
 # runs v, v + s, .., v + (n - 1)s: constant runs (s = 0) put prefix sums on a
-# line, so chord tests meet collinear points and exact ties
+# line, so many windows tie exactly and bounds meet the incumbent
 arithmetic_runs = st.lists(
     st.tuples(
         st.integers(min_value=-3, max_value=3),
@@ -213,10 +240,28 @@ def test_best_window_matches_brute_force_on_integer_ties(seq):
 )
 @settings(max_examples=300, deadline=None)
 def test_best_window_matches_dense_scan_with_offsets(xs, offset):
-    # large offsets make prefix-sum differences lose digits; the block scan
-    # must still pick exactly what the per-length scan picks
+    # large offsets make prefix-sum differences lose digits; the rectangle
+    # search must still pick exactly what the per-length scan picks
     seq = [offset + x for x in xs]
     assert best_window(seq) == dense_best_window(seq)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_best_window_convex_prefix_is_fast(sign):
+    # the prefix sum of 1..N is convex, so every start has a window scoring
+    # near the best, and a scan that bounds one start at a time goes
+    # quadratic; the rectangle search must stay well under a second. The
+    # best window of each length L is the last one, scoring
+    # sqrt(L)(2N + 1 - L)/2, which peaks at L = (2N + 1)/3.
+    N = 100_000
+    a = sign * np.arange(1.0, N + 1.0)
+    t0 = time.perf_counter()
+    got = best_window(a)
+    elapsed = time.perf_counter() - t0
+    L = (2 * N + 1) // 3
+    assert got.atom == WindowAtom(N - L + 1, L)
+    assert got.signed_sum == sign * L * (2 * N + 1 - L) / 2
+    assert elapsed < 1.0
 
 
 @given(sequences)
