@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -33,15 +34,33 @@ __all__ = ["main", "build_parser", "report_to_json"]
 
 
 def _write_text(path: str | None, text: str) -> None:
-    # write-then-rename so a crash never leaves a half-written file
+    """Write text to a path, or to stdout for None or "-".
+
+    A regular file, or a path that does not exist yet, is written to a temp
+    file that is then renamed onto it, so a crash never leaves a half-written
+    file. The rename goes to the resolved path, so a symlink stays a link,
+    and the file gets the mode open() gives a new file under the umask. Any
+    other target, such as a device or a FIFO, is written in place.
+    """
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    target = os.path.abspath(path)
     try:
+        try:
+            regular = stat.S_ISREG(os.stat(path).st_mode)
+        except FileNotFoundError:
+            regular = True
+        if not regular:
+            with open(path, "w") as fh:
+                fh.write(text)
+            return
+        umask = os.umask(0)
+        os.umask(umask)
+        target = os.path.realpath(path)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp.")
         try:
             with os.fdopen(fd, "w") as fh:
+                os.fchmod(fd, 0o666 & ~umask)  # mkstemp leaves 0600
                 fh.write(text)
             os.replace(tmp, target)
         except BaseException:
@@ -112,7 +131,33 @@ def read_csv_column(path: str, column: str) -> np.ndarray:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """`json.dumps(report, indent=2) + "\\n"`, byte for byte, for str keys.
+
+    With an indent, json encodes in pure Python, one element at a time. So
+    each top-level value is written on its own: a list of ints and finite
+    floats as their reprs, which is how json writes them, and any other
+    value, a non-finite float list included, by json one level deeper. The
+    pieces are joined once, so the text is built without extra copies.
+    """
+    if not report:
+        return "{}\n"
+    parts = []
+    for key, v in report.items():
+        body = None
+        if isinstance(v, (list, tuple)) and v and set(map(type, v)) <= {int, float}:
+            # a chunk at a time, so a long list's reprs are never all alive
+            body = ",\n    ".join(
+                [",\n    ".join(map(repr, v[i : i + 4096])) for i in range(0, len(v), 4096)]
+            )
+        parts += (",\n  ", json.dumps(key), ": ")
+        # only inf and nan have an "n" in their repr; json writes Infinity, NaN
+        if body is not None and "n" not in body:
+            parts += ("[\n    ", body, "\n  ]")
+        else:
+            parts.append(json.dumps(v, indent=2).replace("\n", "\n  "))
+    parts[0] = "{\n  "  # the first separator opens the object
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def expansion_report(
@@ -120,8 +165,8 @@ def expansion_report(
 ) -> dict:
     """Everything needed to reproduce a pursuit run, JSON-ready.
 
-    Floats go through repr via json, which round-trips exactly, so the
-    report is a lossless record of the expansion.
+    `report_to_json` writes each float as its repr, which round-trips
+    exactly, so the report is a lossless record of the expansion.
     """
     return {
         "input": source,

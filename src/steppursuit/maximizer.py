@@ -118,8 +118,10 @@ def best_window(seq) -> ScoredAtom:
     if not math.isfinite(float(p.max()) - float(p.min())):
         raise ValueError("window sums overflow")
     best_val, best_len = -1.0, 0
+    buf = np.empty(N)  # the short passes' window sums, one length at a time
     for L in range(1, min(_SHORT, N + 1)):
-        val = float(np.abs(p[L:] - p[:-L]).max()) / math.sqrt(L)
+        d = np.subtract(p[L:], p[:-L], out=buf[: N + 1 - L])
+        val = float(np.abs(d, out=d).max()) / math.sqrt(L)
         if val > best_val:
             best_val, best_len = val, L
     if N >= _SHORT:

@@ -3,9 +3,12 @@ import hashlib
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steppursuit import PursuitConfig, run_pursuit
 from steppursuit.cli import main, read_csv_column, report_to_json
@@ -287,6 +290,73 @@ def test_report_json_round_trip(tmp_path):
     assert rep["residual"] == exp.residual.tolist()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approx", "{sim}", "--max-iter", "10"],
+        ["approx", "{sim}", "--max-iter", "3", "--shift", "10"],
+        ["compare", "{sim}", "--k", "3"],
+        ["verify", "remark", "--trials", "2"],
+        ["verify", "energy", "--trials", "2"],
+        ["verify", "theorem2", "--trials", "2", "--n", "3", "--grid-step", "0.25"],
+    ],
+)
+def test_report_writer_matches_json_on_real_reports(tmp_path, argv):
+    sim = tmp_path / "sim.csv"
+    main(["simulate", "sim1-3state", "--T", "300", "--seed", "2", "--out", str(sim)])
+    out = tmp_path / "rep.json"
+    main([a.format(sim=sim) for a in argv] + ["--out", str(out)])
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {},
+        {"terms": [], "breakpoints": [], "pre_shift": None},
+        {"one": [1.5], "one_int": [7]},
+        {"bools": [True, 1], "only_bools": [False]},
+        {"mixed": [1, 2.5, -3, 0]},
+        {"edges": [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308, -2**70]},
+        {"inf": [1.0, math.inf], "ninf": [-math.inf], "nan": [2.0, math.nan]},
+        {"scalar_inf": math.inf, "scalar_nan": math.nan},
+        {"caf\u00e9": "\u00fcber \u221e\n\"q\"", "nested": {"a": [1.0, {"b": []}]}},
+        {"tuple": (1, 2.0), "nested_list": [[1.0], [2, 3]], "strings": ["a", "b"]},
+        # longer than one chunk of reprs
+        {"long": [i / 7 for i in range(10_000)], "ints": list(range(9_000))},
+        {"inf_last": [0.5] * 5_000 + [math.inf]},
+    ],
+)
+def test_report_writer_matches_json_on_edge_cases(report):
+    assert report_to_json(report) == json.dumps(report, indent=2) + "\n"
+
+
+_scalars = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(-(2**70), 2**70)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=5)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.text(max_size=5),
+        st.lists(st.floats(), max_size=6)
+        | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6)
+        | st.lists(st.integers(-(2**70), 2**70), max_size=6)
+        | st.lists(_scalars, max_size=6)
+        | _scalars,
+        max_size=6,
+    )
+)
+def test_report_writer_matches_json_property(report):
+    assert report_to_json(report) == json.dumps(report, indent=2) + "\n"
+
+
 def test_simulate_csv(tmp_path):
     out = tmp_path / "sim.csv"
     code = main(
@@ -424,3 +494,60 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     out = tmp_path / "rep.json"
     main(["approx", str(p), "--column", "0", "--out", str(out)])
     assert set(os.listdir(tmp_path)) == {"vals.csv", "rep.json"}
+
+
+def test_write_through_symlink_keeps_the_link(tmp_path):
+    p = tmp_path / "vals.csv"
+    write_csv(p, [[1.0], [2.0]])
+    real = tmp_path / "real.json"
+    real.write_text("old\n")
+    real.chmod(0o600)
+    link = tmp_path / "link.json"
+    link.symlink_to("real.json")
+    old_umask = os.umask(0o027)
+    try:
+        assert main(["approx", str(p), "--column", "0", "--out", str(link)]) == 0
+    finally:
+        os.umask(old_umask)
+    assert link.is_symlink() and os.readlink(link) == "real.json"
+    assert json.loads(real.read_text())["input"] == str(p)
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert set(os.listdir(tmp_path)) == {"vals.csv", "real.json", "link.json"}
+
+
+def test_write_to_dangling_symlink_creates_its_target(tmp_path):
+    p = tmp_path / "vals.csv"
+    write_csv(p, [[1.0], [2.0]])
+    link = tmp_path / "link.json"
+    link.symlink_to("real.json")
+    assert main(["approx", str(p), "--column", "0", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads((tmp_path / "real.json").read_text())["input"] == str(p)
+
+
+def test_write_to_a_fifo_writes_in_place(tmp_path):
+    p = tmp_path / "vals.csv"
+    write_csv(p, [[1.0], [2.0]])
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    # a non-blocking reader lets the writer open the FIFO at once; the small
+    # report fits in the pipe buffer
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["approx", str(p), "--column", "0", "--out", str(fifo)]) == 0
+        text = os.read(fd, 1 << 16).decode()
+    finally:
+        os.close(fd)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert json.loads(text)["input"] == str(p)
+    assert set(os.listdir(tmp_path)) == {"vals.csv", "out.fifo"}
+
+
+def test_write_to_a_directory_is_an_output_error(tmp_path, capsys):
+    p = tmp_path / "vals.csv"
+    write_csv(p, [[1.0], [2.0]])
+    out = tmp_path / "dir"
+    out.mkdir()
+    assert main(["approx", str(p), "--column", "0", "--out", str(out)]) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert out.is_dir() and not os.listdir(out)
