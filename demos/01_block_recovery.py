@@ -39,5 +39,5 @@ for row in energy_ledger(expansion):
 rec = reconstruct(expansion)
 print(f"\nMSE of raw noisy signal vs truth: {mse(noisy, signal):.5f}")
 print(f"MSE of reconstruction vs truth:   {mse(rec, signal):.5f}")
-print(f"breakpoints above 0.5 jump: {breakpoints(expansion, threshold=0.5)}")
+print(f"breakpoints above 0.5 jump: {breakpoints(rec, threshold=0.5)}")
 print("(the true block edges sit after cells 30 and 70)")

@@ -12,7 +12,6 @@ from .pursuit import (
     PursuitConfig,
     breakpoints,
     energy_ledger,
-    pursuit_step,
     reconstruct,
     run_pursuit,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "brute_force_best",
     "three_term_max",
     "PursuitConfig",
-    "pursuit_step",
     "run_pursuit",
     "reconstruct",
     "energy_ledger",

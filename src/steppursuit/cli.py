@@ -168,6 +168,7 @@ def expansion_report(
     `report_to_json` writes each float as its repr, which round-trips
     exactly, so the report is a lossless record of the expansion.
     """
+    rec = reconstruct(expansion)
     return {
         "input": source,
         "config": asdict(config),
@@ -183,8 +184,8 @@ def expansion_report(
         ],
         "residual_norms": list(expansion.norm_history),
         "residual": expansion.residual.tolist(),
-        "reconstruction": reconstruct(expansion).tolist(),
-        "breakpoints": breakpoints(expansion),
+        "reconstruction": rec.tolist(),
+        "breakpoints": breakpoints(rec),
         "timing_seconds": seconds,
     }
 
@@ -246,7 +247,7 @@ def cmd_compare(args) -> int:
         "kmeans_centers": [float(c) for c in centers],
         "kmeans_assignments": [int(i) for i in assign],
         "n_terms": len(expansion.terms),
-        "breakpoints": breakpoints(expansion),
+        "breakpoints": breakpoints(rec),
         "residual_norm": expansion.norm_history[-1],
         "timing_seconds": seconds,
     }

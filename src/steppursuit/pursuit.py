@@ -21,7 +21,6 @@ __all__ = [
     "ExpansionTerm",
     "GreedyExpansion",
     "PursuitConfig",
-    "pursuit_step",
     "run_pursuit",
     "reconstruct",
     "energy_ledger",
@@ -73,30 +72,16 @@ class PursuitConfig:
             raise ValueError("pre_shift must be finite")
 
 
-def pursuit_step(residual) -> tuple[ExpansionTerm, np.ndarray]:
-    """One greedy step: select the best window and subtract its projection.
-
-    The projection is constant on the selected window, signed_sum / L per
-    cell, and zero elsewhere. Returns the term and the new residual as a
-    fresh array.
-    """
-    r = as_values(residual)
-    scored = best_window(r)
-    n, L = scored.atom.start, scored.atom.length
-    coef = scored.signed_sum / math.sqrt(L)
-    out = r.copy()
-    out[n - 1 : n - 1 + L] -= scored.signed_sum / L
-    return ExpansionTerm(scored.atom, coef), out
-
-
 def run_pursuit(seq, config: PursuitConfig) -> GreedyExpansion:
     """Run greedy pursuit on seq (after the optional pre-shift).
 
-    Stops at max_iterations, when the residual norm has dropped to
-    residual_epsilon, or when the next coefficient's magnitude would be at or
-    below coefficient_epsilon (that term is then discarded). With the default
-    zero floors this still halts early on an exactly-zero residual or
-    selection, since a zero coefficient can never reduce the residual.
+    Each iteration selects the best window of the residual and subtracts its
+    projection (signed_sum / L per window cell) in place, on the pursuit's own
+    copy of the input. Stops at max_iterations, when the residual norm has
+    dropped to residual_epsilon, or when the next coefficient's magnitude
+    would be at or below coefficient_epsilon (that term is then discarded).
+    With the default zero floors this still halts early on an exactly-zero
+    residual or selection, since a zero coefficient can never reduce it.
 
     The first window is scanned before the first norm is taken, so input
     whose window sums overflow (its squares then overflow too) raises
@@ -105,19 +90,21 @@ def run_pursuit(seq, config: PursuitConfig) -> GreedyExpansion:
     below residual_epsilon and no term is kept.
     """
     shift = 0.0 if config.pre_shift is None else float(config.pre_shift)
-    r = as_values(seq) + shift
-    first = pursuit_step(r)
+    r = as_values(seq) + shift  # a new array, so the updates below stay ours
+    scored = best_window(r)
     norms = [l2_norm(r)]
     terms: list[ExpansionTerm] = []
-    for m in range(config.max_iterations):
-        if norms[-1] <= config.residual_epsilon:
+    while norms[-1] > config.residual_epsilon:
+        n, L = scored.atom.start, scored.atom.length
+        coef = scored.signed_sum / math.sqrt(L)
+        if abs(coef) <= config.coefficient_epsilon:
             break
-        term, nxt = first if m == 0 else pursuit_step(r)
-        if abs(term.coefficient) <= config.coefficient_epsilon:
-            break
-        terms.append(term)
-        r = nxt
+        terms.append(ExpansionTerm(scored.atom, coef))
+        r[n - 1 : n - 1 + L] -= scored.signed_sum / L
         norms.append(l2_norm(r))
+        if len(terms) == config.max_iterations or norms[-1] <= config.residual_epsilon:
+            break
+        scored = best_window(r)
     return GreedyExpansion(tuple(terms), r, tuple(norms), shift)
 
 
@@ -148,12 +135,12 @@ def energy_ledger(expansion: GreedyExpansion) -> list[tuple[float, float]]:
     ]
 
 
-def breakpoints(expansion: GreedyExpansion, threshold: float = 0.0) -> list[int]:
-    """Cell boundaries where the reconstruction jumps by more than threshold.
+def breakpoints(rec: np.ndarray, threshold: float = 0.0) -> list[int]:
+    """Cell boundaries where a reconstruction (as `reconstruct` returns it)
+    jumps by more than threshold.
 
     Returns the indices j (1-based, boundary between cells j and j + 1) with
     |rec[j + 1] - rec[j]| strictly above the threshold.
     """
-    rec = reconstruct(expansion)
     d = np.abs(np.diff(rec))
     return [int(i) + 1 for i in np.nonzero(d > threshold)[0]]

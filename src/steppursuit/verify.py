@@ -47,6 +47,10 @@ from .pursuit import PursuitConfig, energy_ledger, run_pursuit
 
 __all__ = ["SUITES", "run_suite", "grid_max_unmodulated", "grid_max_modulated"]
 
+_LEMMA2_KS = (1, 2, 3, 4)
+_LEMMA2_GRID_N = 200
+_ENERGY_ITERATIONS = 20
+
 
 def _cumulative(a: np.ndarray, xi: float, y: np.ndarray) -> np.ndarray:
     """Integral of f(x) exp(-2 pi i xi x) from -inf to each y, exact per cell."""
@@ -64,7 +68,11 @@ def _cumulative(a: np.ndarray, xi: float, y: np.ndarray) -> np.ndarray:
     y = np.clip(y, b[0], b[-1])
     i = np.clip(np.searchsorted(b, y, side="left"), 1, N)  # cell index, 1-based
     lo = b[i - 1]
-    seg = np.exp(-1j * g * (lo + y)) * (np.sin(g * (y - lo)) / g)
+    w = y - lo
+    # sin(g w) / g, as w (1 - (g w)^2 / 6) for tiny g as in dictionary._sin_over:
+    # dividing by a subnormal g loses every digit
+    part = w * (1.0 - (g * w) ** 2 / 6.0) if abs(g) < 1e-4 else np.sin(g * w) / g
+    seg = np.exp(-1j * g * (lo + y)) * part
     return cum[i - 1] + a[i - 1] * seg
 
 
@@ -225,10 +233,10 @@ def sweep_lemma1(trials=50, n_max=12, grid_step=0.02, xi_step=0.05, seed=0):
     return _report("lemma1", trials, seed, 1e-6, worst)
 
 
-def sweep_lemma2(trials=100, ks=(1, 2, 3, 4), grid_n=200, seed=0):
+def sweep_lemma2(trials=100, seed=0):
     """Partial-coverage profile psi on the triangle k <= t <= k + 1,
-    0 <= s <= t - k: max over a dense grid must not exceed the best of the
-    three corner values (s, t) in {(0, k), (0, k + 1), (1, k + 1)}.
+    0 <= s <= t - k, k in _LEMMA2_KS: max over a dense grid must not exceed the
+    best of the corner values (s, t) in {(0, k), (0, k + 1), (1, k + 1)}.
 
     Also spot-checks that the scalar operation matches the vectorised grid
     formula, routing a handful of points through partial_window_modulus on a
@@ -237,11 +245,11 @@ def sweep_lemma2(trials=100, ks=(1, 2, 3, 4), grid_n=200, seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     agree = 0.0
-    for k in ks:
+    for k in _LEMMA2_KS:
         for _ in range(trials):
             left, middle, right = rng.uniform(-2.0, 2.0, 3)
-            tt = k + np.linspace(0.0, 1.0, grid_n)[None, :]
-            lam = np.linspace(0.0, 1.0, grid_n)[:, None]
+            tt = k + np.linspace(0.0, 1.0, _LEMMA2_GRID_N)[None, :]
+            lam = np.linspace(0.0, 1.0, _LEMMA2_GRID_N)[:, None]
             ss = lam * (tt - k)
             vals = np.abs(left * ss + middle + right * (tt - ss - k)) / np.sqrt(tt)
             corners = max(
@@ -253,8 +261,8 @@ def sweep_lemma2(trials=100, ks=(1, 2, 3, 4), grid_n=200, seed=0):
             # sequence [left, middle, 0 x (k-1), right] with n = 2 realises psi
             seq = [left, middle] + [0.0] * (k - 1) + [right]
             for _ in range(5):
-                i = int(rng.integers(grid_n))
-                j = int(rng.integers(grid_n))
+                i = int(rng.integers(_LEMMA2_GRID_N))
+                j = int(rng.integers(_LEMMA2_GRID_N))
                 op = partial_window_modulus(ss[i, j], tt[0, j], 2, k, seq)
                 agree = max(agree, abs(op - float(vals[i, j])))
     return _report(
@@ -282,8 +290,8 @@ def sweep_remark(trials=1000, seed=0):
     return _report("remark", trials, seed, 1e-10, worst)
 
 
-def sweep_energy(trials=100, n=256, iterations=20, seed=0):
-    """Greedy pursuit energy identity: at every step m,
+def sweep_energy(trials=100, n=256, seed=0):
+    """Greedy pursuit energy identity: at every step m of _ENERGY_ITERATIONS,
 
         ||input||^2 = sum_{i <= m} coef_i^2 + ||residual_m||^2
 
@@ -292,7 +300,7 @@ def sweep_energy(trials=100, n=256, iterations=20, seed=0):
     worst = 0.0
     for _ in range(trials):
         a = rng.uniform(-1.0, 1.0, n)
-        exp = run_pursuit(a, PursuitConfig(max_iterations=iterations))
+        exp = run_pursuit(a, PursuitConfig(max_iterations=_ENERGY_ITERATIONS))
         total = exp.norm_history[0] ** 2
         spent = 0.0
         for coef_sq, res_sq in energy_ledger(exp):
@@ -315,10 +323,14 @@ SUITES = {
 
 
 def run_suite(name: str, **params) -> dict:
-    """Dispatch a sweep by name, forwarding only the parameters it accepts."""
+    """Dispatch a sweep by name, forwarding only the parameters it accepts.
+    One that only other sweeps accept is dropped, as the CLI passes every flag
+    to every suite; one that no sweep accepts is a ValueError."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    fn = SUITES[name]
-    allowed = inspect.signature(fn).parameters
-    kwargs = {k: v for k, v in params.items() if v is not None and k in allowed}
-    return fn(**kwargs)
+    accepted = {n: inspect.signature(fn).parameters for n, fn in SUITES.items()}
+    unknown = params.keys() - {p for names in accepted.values() for p in names}
+    if unknown:
+        raise ValueError(f"no suite takes the parameter(s) {', '.join(sorted(unknown))}")
+    kwargs = {k: v for k, v in params.items() if v is not None and k in accepted[name]}
+    return SUITES[name](**kwargs)

@@ -21,7 +21,6 @@ from steppursuit import (
     kmeans_1d,
     l2_norm,
     mse,
-    pursuit_step,
     reconstruct,
     run_preset,
     run_pursuit,
@@ -106,7 +105,7 @@ def test_criterion_04_short_scales_select_largest_cell():
 
 
 def test_criterion_05_partial_window_profile_vertex_max():
-    rep = run_suite("lemma2", trials=100, ks=(1, 2, 3, 4), grid_n=200, seed=0)
+    rep = run_suite("lemma2", trials=100, seed=0)
     _report(
         5,
         "window profile on its triangle is maximised at a vertex",
@@ -145,7 +144,7 @@ def test_criterion_06_alternating_pair():
 
 
 def test_criterion_07_energy_conservation():
-    rep = run_suite("energy", trials=100, n=256, iterations=20, seed=0)
+    rep = run_suite("energy", trials=100, n=256, seed=0)
     _report(
         7,
         "energy ledger exact to 1e-9 at every iteration, norms nonincreasing",
@@ -249,7 +248,7 @@ def test_criterion_12_single_iteration_performance():
     rng = np.random.default_rng(0)
     seq = rng.standard_normal(20_000)
     t0 = time.perf_counter()
-    pursuit_step(seq)
+    run_pursuit(seq, PursuitConfig(max_iterations=1))
     elapsed = time.perf_counter() - t0
     _report(
         12,

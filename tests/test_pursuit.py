@@ -11,7 +11,6 @@ from steppursuit import (
     breakpoints,
     energy_ledger,
     l2_norm,
-    pursuit_step,
     reconstruct,
     run_pursuit,
 )
@@ -35,28 +34,34 @@ def test_config_validation():
 
 
 def test_step_on_plateau():
-    term, res = pursuit_step([0, 3, 3, 3, 0])
+    exp = run_pursuit([0, 3, 3, 3, 0], PursuitConfig(max_iterations=1))
+    (term,) = exp.terms
     assert (term.atom.start, term.atom.length) == (2, 3)
     assert term.coefficient == pytest.approx(3 * math.sqrt(3), rel=1e-15)
-    assert np.all(res == 0.0)
+    assert np.all(exp.residual == 0.0)
 
 
 def test_step_single_cell():
-    term, res = pursuit_step([8.5])
+    exp = run_pursuit([8.5], PursuitConfig(max_iterations=1))
+    (term,) = exp.terms
     assert (term.atom.start, term.atom.length, term.coefficient) == (1, 1, 8.5)
-    assert res.tolist() == [0.0]
+    assert exp.residual.tolist() == [0.0]
 
 
 def test_step_on_zeros_leaves_residual():
-    term, res = pursuit_step([0.0, 0.0])
-    assert term.coefficient == 0.0
-    assert res.tolist() == [0.0, 0.0]
+    exp = run_pursuit([0.0, 0.0], PursuitConfig(max_iterations=1))
+    assert exp.terms == ()
+    assert exp.residual.tolist() == [0.0, 0.0]
 
 
 def test_step_does_not_mutate_input():
-    x = np.array([1.0, 5.0])
-    pursuit_step(x)
-    assert x.tolist() == [1.0, 5.0]
+    # the residual is updated in place, but on the pursuit's own array
+    for shift in (None, 0.0, 10.0):
+        x = np.array([1.0, 5.0, -2.0, 0.5])
+        exp = run_pursuit(x, PursuitConfig(max_iterations=3, pre_shift=shift))
+        assert len(exp.terms) == 3
+        assert x.tolist() == [1.0, 5.0, -2.0, 0.5]
+        assert not np.shares_memory(exp.residual, x)
 
 
 def test_constant_sequence_one_term():
@@ -90,8 +95,9 @@ def test_energy_ledger_plateau():
 
 def test_breakpoints_plateau():
     exp = run_pursuit([0, 3, 3, 3, 0], PursuitConfig(max_iterations=5))
-    assert breakpoints(exp) == [1, 4]
-    assert breakpoints(exp, threshold=5.0) == []
+    rec = reconstruct(exp)
+    assert breakpoints(rec) == [1, 4]
+    assert breakpoints(rec, threshold=5.0) == []
 
 
 def test_shift_round_trip():

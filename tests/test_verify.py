@@ -37,14 +37,15 @@ def sorted_grid_max(a, t_grid, u_grid, xi_grid) -> float:
 
 def test_grid_engine_agrees_with_per_atom_inner_product():
     # the cumulative-integral engine and the per-cell closed form are
-    # independent code paths; spot-check them against each other
+    # independent code paths; spot-check them against each other, at
+    # subnormal xi too, where sin(g w) / g must not divide by a subnormal g
     rng = np.random.default_rng(21)
     for _ in range(20):
         n = int(rng.integers(1, 8))
         a = rng.uniform(-1.0, 1.0, n)
         t = float(rng.uniform(0.1, n + 1.0))
         u = float(rng.uniform(0.0, n + 1.0))
-        for xi in (0.0, float(rng.uniform(-2.0, 2.0))):
+        for xi in (0.0, float(rng.uniform(-2.0, 2.0)), 5e-324, 1e-310):
             grid = grid_max_modulated(a, [t], [u], [xi])
             direct = abs(inner_product(a, WaveformAtom(t, xi, u)))
             assert grid == pytest.approx(direct, abs=1e-12)
@@ -195,6 +196,16 @@ def test_run_suite_filters_parameters():
     rep = run_suite("remark", trials=50, seed=1, grid_step=None, n_max=None)
     assert rep["trials"] == 50 and rep["seed"] == 1
     assert rep["passed"] is True
+    # a parameter that only another suite reads is dropped, as the CLI
+    # passes every flag to every suite
+    assert run_suite("theorem2", trials=2, xi_step=0.5)["trials"] == 2
+
+
+def test_run_suite_rejects_parameters_no_suite_reads():
+    with pytest.raises(ValueError, match="trails"):
+        run_suite("theorem2", trails=5)
+    with pytest.raises(ValueError, match="grid_n"):
+        run_suite("lemma2", trials=2, grid_n=50)
 
 
 def test_small_sweeps_pass():
