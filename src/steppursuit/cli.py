@@ -33,17 +33,20 @@ from .verify import SUITES, run_suite
 __all__ = ["main", "build_parser", "report_to_json"]
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write text to a path, or to stdout for None or "-".
+def _write_text(path: str | None, pieces) -> None:
+    """Write text, given as an iterable of str pieces, to a path, or to
+    stdout for None or "-".
 
     A regular file, or a path that does not exist yet, is written to a temp
-    file that is then renamed onto it, so a crash never leaves a half-written
-    file. The rename goes to the resolved path, so a symlink stays a link,
-    and the file gets the mode open() gives a new file under the umask. Any
-    other target, such as a device or a FIFO, is written in place.
+    file that is then renamed onto it, so a crash, or an exception raised by
+    `pieces` midway, never leaves a half-written file. The rename goes to the
+    resolved path, so a symlink stays a link, and the file gets the mode
+    open() gives a new file under the umask. Any other target, such as a
+    device or a FIFO, is written in place, and so is stdout: there a failure
+    midway leaves the pieces written so far.
     """
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         try:
@@ -52,7 +55,7 @@ def _write_text(path: str | None, text: str) -> None:
             regular = True
         if not regular:
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
             return
         umask = os.umask(0)
         os.umask(umask)
@@ -61,7 +64,7 @@ def _write_text(path: str | None, text: str) -> None:
         try:
             with os.fdopen(fd, "w") as fh:
                 os.fchmod(fd, 0o666 & ~umask)  # mkstemp leaves 0600
-                fh.write(text)
+                fh.writelines(pieces)
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
@@ -95,7 +98,7 @@ def _column_index(first: list[str], column: str) -> tuple[int, bool]:
 
 
 def read_csv_column(path: str, column: str) -> np.ndarray:
-    """One CSV column as floats, in a single pass over the file.
+    """One CSV column as a float64 array, parsed in a single pass over the file.
 
     Blank lines are skipped, and error messages cite the file line. A UTF-8
     byte-order mark is dropped; a file that is not UTF-8 raises
@@ -111,62 +114,101 @@ def read_csv_column(path: str, column: str) -> np.ndarray:
             idx, has_header = _column_index(first, column)
             if not has_header:
                 rows = itertools.chain([first], rows)
-            out = []
-            for row in rows:
-                if idx >= len(row):
-                    raise ValueError(f"row {reader.line_num}: missing column {idx}")
-                cell = row[idx].strip()
-                try:
-                    out.append(float(cell))
-                except ValueError:
-                    raise ValueError(f"row {reader.line_num}: not a number: {cell!r}") from None
+            try:
+                # the walrus leaves the failing cell in scope for the message
+                out = np.fromiter((float(cell := row[idx]) for row in rows), float)
+            except IndexError:
+                raise ValueError(f"row {reader.line_num}: missing column {idx}") from None
+            except UnicodeDecodeError:
+                raise  # a ValueError too, but not a bad cell
+            except ValueError:
+                raise ValueError(
+                    f"row {reader.line_num}: not a number: {cell.strip()!r}"
+                ) from None
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e.strerror}") from e
     except csv.Error as e:
         # a malformed row, e.g. a field past csv.field_size_limit()
         raise ValueError(f"row {reader.line_num}: {e}") from None
-    if not out:
+    if not out.size:
         raise ValueError("empty input")
-    return np.asarray(out)
+    return out
 
 
-def report_to_json(report: dict) -> str:
-    """`json.dumps(report, indent=2) + "\\n"`, byte for byte, for str keys.
+def _float_array_pieces(a: np.ndarray):
+    """The elements of a 1-D finite float64 array as reprs, joined by json's
+    list separator, 4,096 elements at a time.
+
+    A run of bitwise-equal elements gets one repr, which is then repeated, so
+    a step function's few levels are formatted a few times, not once per
+    cell. Comparing bits keeps -0.0 apart from 0.0.
+    """
+    bits = a.view(np.int64)
+    for i in range(0, a.size, 4096):
+        b = bits[i : i + 4096]
+        starts = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
+        reprs = list(map(repr, a[i + starts].tolist()))
+        if len(reprs) < b.size:
+            reprs = np.repeat(np.array(reprs, dtype=object), np.diff(starts, append=b.size))
+        if i:
+            yield ",\n    "
+        yield ",\n    ".join(reprs)
+
+
+def _report_pieces(report: dict):
+    """The text of `report_to_json`, as str pieces in order.
 
     With an indent, json encodes in pure Python, one element at a time. So
-    each top-level value is written on its own: a list of ints and finite
-    floats as their reprs, which is how json writes them, and any other
-    value, a non-finite float list included, by json one level deeper. The
-    pieces are joined once, so the text is built without extra copies.
+    each top-level value is written on its own: a 1-D finite float64 array
+    and a list of ints and finite floats as their reprs, which is how json
+    writes them, and any other value, a non-finite float list included, by
+    json one level deeper, after `tolist()` for any other array. An array's
+    pieces are a few thousand elements long, so its text is never whole in
+    memory.
     """
     if not report:
-        return "{}\n"
-    parts = []
+        yield "{}\n"
+        return
+    sep = "{\n  "  # the first separator opens the object
     for key, v in report.items():
+        yield sep + json.dumps(key) + ": "
+        sep = ",\n  "
+        if isinstance(v, np.ndarray):
+            if v.dtype == np.float64 and v.ndim == 1 and v.size and np.isfinite(v).all():
+                yield "[\n    "
+                yield from _float_array_pieces(v)
+                yield "\n  ]"
+                continue
+            v = v.tolist()
         body = None
         if isinstance(v, (list, tuple)) and v and set(map(type, v)) <= {int, float}:
             # a chunk at a time, so a long list's reprs are never all alive
             body = ",\n    ".join(
                 [",\n    ".join(map(repr, v[i : i + 4096])) for i in range(0, len(v), 4096)]
             )
-        parts += (",\n  ", json.dumps(key), ": ")
         # only inf and nan have an "n" in their repr; json writes Infinity, NaN
         if body is not None and "n" not in body:
-            parts += ("[\n    ", body, "\n  ]")
+            yield from ("[\n    ", body, "\n  ]")
         else:
-            parts.append(json.dumps(v, indent=2).replace("\n", "\n  "))
-    parts[0] = "{\n  "  # the first separator opens the object
-    parts.append("\n}\n")
-    return "".join(parts)
+            yield json.dumps(v, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
+
+
+def report_to_json(report: dict) -> str:
+    """`json.dumps(report, indent=2) + "\\n"`, byte for byte, for str keys,
+    with any numpy array written as its `tolist()`."""
+    return "".join(_report_pieces(report))
 
 
 def expansion_report(
     source: str, config: PursuitConfig, expansion: GreedyExpansion, seconds: float
 ) -> dict:
-    """Everything needed to reproduce a pursuit run, JSON-ready.
+    """Everything needed to reproduce a pursuit run, ready for `report_to_json`.
 
-    `report_to_json` writes each float as its repr, which round-trips
-    exactly, so the report is a lossless record of the expansion.
+    `residual` and `reconstruction` stay float64 arrays, which the report
+    writer formats a slice at a time. It writes each float as its repr,
+    which round-trips exactly, so the report is a lossless record of the
+    expansion.
     """
     rec = reconstruct(expansion)
     return {
@@ -183,8 +225,8 @@ def expansion_report(
             for m, t in enumerate(expansion.terms)
         ],
         "residual_norms": list(expansion.norm_history),
-        "residual": expansion.residual.tolist(),
-        "reconstruction": rec.tolist(),
+        "residual": expansion.residual,
+        "reconstruction": rec,
         "breakpoints": breakpoints(rec),
         "timing_seconds": seconds,
     }
@@ -205,27 +247,53 @@ def _fit(values: np.ndarray, args) -> tuple[PursuitConfig, GreedyExpansion, floa
     return config, expansion, time.perf_counter() - t0
 
 
+def _csv_pieces(header: str, format_rows, *columns: np.ndarray):
+    """CSV text, as str pieces: the header line, then the rows 4,096 at a time.
+
+    `format_rows` takes (t, cell, ...) tuples, with t counting from 1 and one
+    cell from each column as a Python scalar, and returns the rows' lines.
+    """
+    yield header
+    for i in range(0, len(columns[0]), 4096):
+        cells = (c[i : i + 4096].tolist() for c in columns)
+        yield "".join(format_rows(zip(itertools.count(i + 1), *cells)))
+
+
 def cmd_approx(args) -> int:
     values = read_csv_column(args.input, args.column)
     config, expansion, seconds = _fit(values, args)
     report = expansion_report(args.input, config, expansion, seconds)
-    _write_text(args.out, report_to_json(report))
+    _write_text(args.out, _report_pieces(report))
     if args.plot_out:
-        rec = report["reconstruction"]
-        lines = ["t,value,reconstruction"]
-        lines += [f"{i + 1},{v!r},{r!r}" for i, (v, r) in enumerate(zip(values.tolist(), rec))]
-        _write_text(args.plot_out, "\n".join(lines) + "\n")
+        pieces = _csv_pieces(
+            "t,value,reconstruction\n",
+            lambda rows: [f"{t},{v!r},{r!r}\n" for t, v, r in rows],
+            values,
+            report["reconstruction"],
+        )
+        _write_text(args.plot_out, pieces)
     return 0
 
 
 def cmd_simulate(args) -> int:
     out = run_preset(args.preset, args.T, args.seed)
-    lines = ["t,value,state,true_mean"]
-    has_states = out.states.size > 0
-    for i in range(len(out.values)):
-        state = str(int(out.states[i])) if has_states else ""
-        lines.append(f"{i + 1},{float(out.values[i])!r},{state},{float(out.true_means[i])!r}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    header = "t,value,state,true_mean\n"
+    if out.states.size:
+        pieces = _csv_pieces(
+            header,
+            lambda rows: [f"{t},{v!r},{s},{m!r}\n" for t, v, s, m in rows],
+            out.values,
+            out.states,
+            out.true_means,
+        )
+    else:  # no hidden states: an empty state column
+        pieces = _csv_pieces(
+            header,
+            lambda rows: [f"{t},{v!r},,{m!r}\n" for t, v, m in rows],
+            out.values,
+            out.true_means,
+        )
+    _write_text(args.out, pieces)
     return 0
 
 
@@ -251,7 +319,7 @@ def cmd_compare(args) -> int:
         "residual_norm": expansion.norm_history[-1],
         "timing_seconds": seconds,
     }
-    _write_text(args.out, report_to_json(report))
+    _write_text(args.out, _report_pieces(report))
     return 0
 
 
@@ -265,7 +333,7 @@ def cmd_verify(args) -> int:
         grid_step=args.grid_step,
         xi_step=args.xi_step,
     )
-    _write_text(args.out, report_to_json(report))
+    _write_text(args.out, _report_pieces(report))
     status = "PASS" if report["passed"] else "FAIL"
     print(
         f"{status} {args.suite}: max violation {report['max_violation']:.3e} "

@@ -4,13 +4,15 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steppursuit import PursuitConfig, run_pursuit
+from steppursuit import cli
 from steppursuit.cli import main, read_csv_column, report_to_json
 
 
@@ -57,6 +59,14 @@ def test_read_csv_errors(tmp_path):
     p.write_bytes(b"\xff\xfe1.0\n")  # not UTF-8
     with pytest.raises(ValueError, match="can't decode"):
         read_csv_column(str(p), "0")
+    # a bad byte past the first decoded chunk fails while the cells are
+    # parsed; it is still a decode error, not a bad cell
+    p.write_bytes(b"value\n" + b"1.0\n" * 5_000 + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError, match="can't decode"):
+        read_csv_column(str(p), "value")
+    p.write_text("t,value\n1,2.0\n2\n")
+    with pytest.raises(ValueError, match="row 3: missing column 1"):
+        read_csv_column(str(p), "value")
     p.write_text('value\n"' + "1" * 200_000 + '"\n')  # past the csv field limit
     with pytest.raises(ValueError, match="row 2: field larger than field limit"):
         read_csv_column(str(p), "value")
@@ -357,6 +367,77 @@ def test_report_writer_matches_json_property(report):
     assert report_to_json(report) == json.dumps(report, indent=2) + "\n"
 
 
+# values of runs: signed zeros, the smallest subnormal, the largest finite
+# float, and the non-finite values json writes as Infinity and NaN
+_run_values = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+     math.inf, -math.inf, math.nan]
+) | st.floats()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(_run_values, st.integers(1, 3) | st.integers(4_000, 4_200)), max_size=4))
+@example([(1.5, 4_095), (1.5, 2), (2.5, 1)])  # a run across the 4,096 boundary
+@example([(1.0, 2), (-0.0, 1), (0.0, 2), (-0.0, 1)])
+@example([(2.2250738585072014e-308, 3), (1e-310, 1), (1.7976931348623157e308, 2)])
+@example([(1.0, 4_096), (math.nan, 1)])  # non-finite past the first chunk
+def test_report_writer_matches_json_on_float_arrays(runs):
+    a = np.repeat(np.array([v for v, _ in runs], dtype=float), [n for _, n in runs])
+    for arr in (a, a[::3]):
+        want = json.dumps({"a": arr.tolist(), "b": 1}, indent=2) + "\n"
+        assert report_to_json({"a": arr, "b": 1}) == want
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [np.array([]), np.arange(5), np.arange(0), np.zeros((2, 2)), np.float32([0.1, 0.1]),
+     np.array([True, False]), np.array(2.5)],
+)
+def test_report_writer_writes_other_arrays_as_lists(arr):
+    assert report_to_json({"a": arr}) == json.dumps({"a": arr.tolist()}, indent=2) + "\n"
+
+
+def test_report_phase_memory_stays_small(tmp_path):
+    # at N = 200k the two arrays' text is about 8 MB; the streamed writer
+    # formats a few thousand elements at a time
+    rng = np.random.default_rng(0)
+    config = PursuitConfig(max_iterations=10)
+    expansion = run_pursuit(rng.standard_normal(200_000), config)
+    out = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        report = cli.expansion_report("in.csv", config, expansion, 0.0)
+        cli._write_text(str(out), cli._report_pieces(report))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+    assert out.read_text() == json.dumps(json.loads(out.read_text()), indent=2) + "\n"
+
+
+def test_every_writer_gets_pieces_not_a_string(tmp_path, monkeypatch):
+    # writelines on a bare str would write it one character at a time
+    seen = []
+    write = cli._write_text
+
+    def spy(path, pieces):
+        seen.append(type(pieces))
+        write(path, pieces)
+
+    monkeypatch.setattr(cli, "_write_text", spy)
+    sim = tmp_path / "sim.csv"
+    for argv in (
+        ["simulate", "sim1-3state", "--T", "50", "--out", str(sim)],
+        ["simulate", "normal-std", "--T", "5", "--out", str(tmp_path / "iid.csv")],
+        ["approx", str(sim), "--out", str(tmp_path / "a.json"),
+         "--plot-out", str(tmp_path / "p.csv")],
+        ["compare", str(sim), "--out", str(tmp_path / "c.json")],
+        ["verify", "remark", "--trials", "2", "--out", str(tmp_path / "v.json")],
+    ):
+        assert main(argv) == 0
+    assert len(seen) == 6 and not any(issubclass(t, str) for t in seen)
+
+
 def test_simulate_csv(tmp_path):
     out = tmp_path / "sim.csv"
     code = main(
@@ -541,6 +622,20 @@ def test_write_to_a_fifo_writes_in_place(tmp_path):
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert json.loads(text)["input"] == str(p)
     assert set(os.listdir(tmp_path)) == {"vals.csv", "out.fifo"}
+
+
+def test_write_failing_midway_keeps_the_old_file(tmp_path):
+    out = tmp_path / "r.json"
+    out.write_bytes(b"old\n")
+
+    def pieces():
+        yield "x" * 100_000
+        raise RuntimeError("midway")
+
+    with pytest.raises(RuntimeError, match="midway"):
+        cli._write_text(str(out), pieces())
+    assert out.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["r.json"]
 
 
 def test_write_to_a_directory_is_an_output_error(tmp_path, capsys):
