@@ -12,8 +12,9 @@ conjugate of the one at xi, so only the distinct |xi| are swept; the
 frequency grid k * xi_step, |k * xi_step| <= 2, is exactly symmetric about 0
 and holds it, so that fold halves it. With one |xi| (as in the unmodulated
 sweep) the integral is evaluated at every end directly; with more, once per
-distinct end and per |xi|, and the differences are gathered by index into
-buffers reused across the frequencies.
+distinct end and per |xi|, and the differences are gathered by index. The
+grid is swept a block of scales at a time, so its memory grows with the
+grid's side, not with its point count.
 
 Sweeps:
   theorem2   grid max over unmodulated atoms is attained at the best
@@ -50,6 +51,9 @@ __all__ = ["SUITES", "run_suite", "grid_max_unmodulated", "grid_max_modulated"]
 _LEMMA2_KS = (1, 2, 3, 4)
 _LEMMA2_GRID_N = 200
 _ENERGY_ITERATIONS = 20
+# (t, u) points per block of the grid sweep, and the most points it sweeps
+_BLOCK = 1 << 14
+_MAX_POINTS = 1 << 31
 
 
 def _cumulative(a: np.ndarray, xi: float, y: np.ndarray) -> np.ndarray:
@@ -83,47 +87,65 @@ def _grid_max(a: np.ndarray, t_grid, u_grid, xi_grid) -> float:
     the cumulative integral at its two ends. For real f the integral at -xi
     is the exact complex conjugate of the one at xi (every factor of
     `_cumulative` is odd or even in xi), so the moduli are bitwise equal and
-    only the distinct |xi| are swept. With one |xi| left, the integral is
-    evaluated at both ends of every window where they stand. With more,
-    grid windows share few distinct ends, so for each |xi| the integral is
-    evaluated once per distinct end and the differences are gathered by
-    index into buffers allocated once per call: the sort pays for
-    itself over the frequencies.
+    only the distinct |xi| are swept. The t grid is walked a block of about
+    `_BLOCK` (t, u) points at a time, so memory grows with the distinct
+    window ends (linear in the grid's side on a lattice), not with the
+    point count. Each scale keeps the max of |<f, G>| sqrt(t) over u and xi, and is
+    divided by sqrt(t) once at the end: correctly rounded division by a
+    positive number is monotone, so that max is bitwise the max of the
+    quotients. With one |xi| left, the integral is evaluated at both ends of
+    every window where they stand. With more, grid windows share few distinct
+    ends, so the integral is evaluated once per distinct end and per |xi|,
+    and each block gathers its window differences by index: the sort pays
+    for itself over the frequencies.
     """
-    t = np.asarray(t_grid, dtype=float)[:, None]
-    u = np.asarray(u_grid, dtype=float)[None, :]
+    t = np.asarray(t_grid, dtype=float)
+    u = np.asarray(u_grid, dtype=float)
     xis = np.unique(np.abs(np.asarray(xi_grid, dtype=float)))
-    root = np.sqrt(t)
+    if not (t.size and u.size and xis.size):
+        raise ValueError("the scale, centre and frequency grids must not be empty")
+    if t.size * u.size > _MAX_POINTS:
+        raise ValueError(
+            f"a grid of {t.size} scales by {u.size} centres is too large to sweep"
+        )
+    rows = min(t.size, max(1, _BLOCK // u.size))
+    blocks = [slice(i, i + rows) for i in range(0, t.size, rows)]
+
+    def window_ends(block):
+        half = t[block, None] / 2.0
+        return u - half, u + half
+
+    peaks = np.zeros(t.size)
     if xis.size == 1:
-        vals = _cumulative(a, xis[0], u + t / 2.0)
-        vals -= _cumulative(a, xis[0], u - t / 2.0)
-        vals = np.abs(vals)
-        vals /= root
-        return float(vals.max())
-    los = u - t / 2.0
-    his = u + t / 2.0
-    ends = np.unique(np.concatenate((los.ravel(), his.ravel())))
-    ilo = np.searchsorted(ends, los)
-    ihi = np.searchsorted(ends, his)
-    del los, his  # freed before the buffers, to keep peak memory down
-    z = np.empty(ihi.shape, dtype=complex)
-    w = np.empty_like(z)
-    m = np.empty(ihi.shape)
-    best = 0.0
-    for xi in xis:
+        for block in blocks:
+            lo, hi = window_ends(block)
+            z = _cumulative(a, xis[0], hi)
+            z -= _cumulative(a, xis[0], lo)
+            peaks[block] = np.abs(z).max(axis=1)
+    else:
+        ends = np.unique(np.concatenate([np.unique(window_ends(b)) for b in blocks]))
         # the xi = 0 integral is real; as complex its modulus is unchanged,
         # since hypot(x, 0) == |x|
-        c = _cumulative(a, xi, ends).astype(complex, copy=False)
-        # every index is in range (searchsorted finds each end in `ends`,
-        # which holds them all), so "clip" never clips; it only spares the
-        # buffered copy that take makes under the default "raise"
-        np.take(c, ihi, out=z, mode="clip")
-        np.take(c, ilo, out=w, mode="clip")
-        z -= w
-        np.abs(z, out=m)
-        m /= root
-        best = max(best, float(m.max()))
-    return best
+        cums = np.empty((xis.size, ends.size), dtype=complex)
+        for c, xi in zip(cums, xis):
+            c[:] = _cumulative(a, xi, ends)
+        for block in blocks:
+            ilo, ihi = (np.searchsorted(ends, y) for y in window_ends(block))
+            z = np.empty(ihi.shape, dtype=complex)
+            w = np.empty_like(z)
+            m = np.empty(ihi.shape)
+            peak = peaks[block]
+            for c in cums:
+                # every index is in range (searchsorted finds each end in
+                # `ends`, which holds them all), so "clip" never clips; it
+                # only spares the buffered copy that take makes under the
+                # default "raise"
+                np.take(c, ihi, out=z, mode="clip")
+                np.take(c, ilo, out=w, mode="clip")
+                z -= w
+                np.abs(z, out=m)
+                np.maximum(peak, m.max(axis=1), out=peak)
+    return float((peaks / np.sqrt(t)).max())
 
 
 def grid_max_unmodulated(values, t_grid, u_grid) -> float:

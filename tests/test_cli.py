@@ -244,6 +244,15 @@ def test_refused_allocation_is_an_input_error(capsys, argv):
     assert captured.out == ""
 
 
+def test_oversize_grid_is_refused_before_the_sweep(capsys):
+    # 2M scales by 2M centres: more windows than the engine sweeps, refused
+    # with exit 2 before the first block rather than run for hours
+    assert main(["verify", "theorem2", "--grid-step", "1e-6", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: a grid of ") and "too large to sweep" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [["theorem2", "--grid-step", "5e-324"], ["theorem1", "--xi-step", "1e-309"]],

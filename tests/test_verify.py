@@ -1,10 +1,13 @@
 """The sweep engines themselves get cross-checked here at small sizes; the
 full-size runs live in the acceptance suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from steppursuit import WaveformAtom, inner_product, run_suite
+from steppursuit import verify
 from steppursuit.verify import (
     _cumulative,
     _grid_max,
@@ -117,6 +120,63 @@ def test_grid_engine_matches_sorted_reference_bitwise():
             assert _grid_max(a, t_grid, u_grid, xi_grid) == sorted_grid_max(
                 a, t_grid, u_grid, xi_grid
             )
+
+
+@pytest.mark.parametrize("block", ["1", "U - 1", "U", "U + 1", "3U + 1"])
+def test_grid_engine_is_bitwise_at_block_boundaries(monkeypatch, block):
+    # blocks of one row, of rows that just miss or just fit the block size,
+    # and a short last block; a one-row t grid and a one-point u grid too
+    rng = np.random.default_rng(25)
+    a = rng.uniform(-1.0, 1.0, 5) * (-1.0) ** np.arange(5)
+    grids = [
+        (_steps(0.25, 6.0, 0.25), _steps(0.0, 6.0, 0.25)),
+        (np.array([2.5]), _steps(0.0, 6.0, 0.25)),
+        (_steps(0.25, 6.0, 0.25), np.array([3.0])),
+        (rng.uniform(0.05, 6.0, 11), rng.uniform(-1.0, 7.0, 7)),
+    ]
+    for t_grid, u_grid in grids:
+        U = u_grid.size
+        size = {"1": 1, "U - 1": U - 1, "U": U, "U + 1": U + 1, "3U + 1": 3 * U + 1}[block]
+        monkeypatch.setattr(verify, "_BLOCK", size)
+        for xi_grid in ([0.0], [0.7], _xi_grid(0.3)):
+            assert _grid_max(a, t_grid, u_grid, xi_grid) == sorted_grid_max(
+                a, t_grid, u_grid, xi_grid
+            )
+
+
+def test_grid_engine_memory_is_linear_in_the_grid_side():
+    # 10 cells at grid step 0.01: 1100 scales by 1101 centres, 1.2M windows
+    # and 41 distinct |xi|; buffers over the whole grid would take about 70
+    # and 29 MB
+    a = np.random.default_rng(26).uniform(0.0, 1.0, 10)
+    t_grid = _steps(0.01, 11.0, 0.01)
+    u_grid = _steps(0.0, 11.0, 0.01)
+    xi_grid = _xi_grid(0.05)
+    for run, limit in (
+        (lambda: grid_max_modulated(a, t_grid, u_grid, xi_grid), 16e6),
+        (lambda: grid_max_unmodulated(a, t_grid, u_grid), 2e6),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+
+
+def test_grid_engine_rejects_empty_and_oversize_grids():
+    a = np.array([1.0, -2.0])
+    grid = [0.5, 1.0]
+    for t_grid, u_grid, xi_grid in (([], grid, [0.0]), (grid, [], [0.0, 1.0]), (grid, grid, [])):
+        with pytest.raises(ValueError, match="must not be empty"):
+            _grid_max(a, t_grid, u_grid, xi_grid)
+    # refused before any block is swept: 2^16 scales by 2^15 + 1 centres are
+    # 2^16 windows over the limit of 2^31
+    t_grid = np.ones(2**16)
+    u_grid = np.zeros(2**15 + 1)
+    with pytest.raises(ValueError, match="too large to sweep"):
+        _grid_max(a, t_grid, u_grid, [0.0])
 
 
 def test_cumulative_at_minus_xi_is_the_conjugate():
