@@ -11,6 +11,7 @@ from steppursuit import verify
 from steppursuit.verify import (
     _cumulative,
     _grid_max,
+    _row_peaks,
     _steps,
     _xi_grid,
     grid_max_modulated,
@@ -120,6 +121,28 @@ def test_grid_engine_matches_sorted_reference_bitwise():
             assert _grid_max(a, t_grid, u_grid, xi_grid) == sorted_grid_max(
                 a, t_grid, u_grid, xi_grid
             )
+    # the shapes that the |f| ceiling prunes: theorem1's single-signed input
+    # on a lattice, lemma1's scales t <= 1, a constant input whose windows of
+    # each whole scale tie across their centres, an all-zero input (every
+    # ceiling is 0), and frequency grids without 0
+    rng = np.random.default_rng(28)
+    for k in range(8):
+        n = int(rng.integers(1, 9))
+        a = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        step = float(rng.choice([0.1, 0.25]))
+        u_grid = _steps(0.0, n + 1, step)
+        xi = float(rng.uniform(0.01, 3.0))
+        for b in (a, -a, np.full(n, 2.5), np.zeros(n)):
+            for t_grid in (_steps(step, n + 1, step), _steps(step, 1.0, step)):
+                for xi_grid in (
+                    _xi_grid(0.05),
+                    _xi_grid(0.3)[_xi_grid(0.3) != 0.0],
+                    [-0.5, 0.5],
+                    [xi, 2.0 * xi],
+                ):
+                    assert _grid_max(b, t_grid, u_grid, xi_grid) == sorted_grid_max(
+                        b, t_grid, u_grid, xi_grid
+                    )
 
 
 @pytest.mark.parametrize("block", ["1", "U - 1", "U", "U + 1", "3U + 1"])
@@ -147,13 +170,17 @@ def test_grid_engine_is_bitwise_at_block_boundaries(monkeypatch, block):
 def test_grid_engine_memory_is_linear_in_the_grid_side():
     # 10 cells at grid step 0.01: 1100 scales by 1101 centres, 1.2M windows
     # and 41 distinct |xi|; buffers over the whole grid would take about 70
-    # and 29 MB
+    # and 29 MB. On the positive input the |f| ceiling leaves about one scale
+    # for the sweep at every |xi|; on the alternating one few scales are
+    # pruned, so the block sweep runs over nearly the whole grid
     a = np.random.default_rng(26).uniform(0.0, 1.0, 10)
+    alternating = a * (-1.0) ** np.arange(10)
     t_grid = _steps(0.01, 11.0, 0.01)
     u_grid = _steps(0.0, 11.0, 0.01)
     xi_grid = _xi_grid(0.05)
     for run, limit in (
         (lambda: grid_max_modulated(a, t_grid, u_grid, xi_grid), 16e6),
+        (lambda: grid_max_modulated(alternating, t_grid, u_grid, xi_grid), 16e6),
         (lambda: grid_max_unmodulated(a, t_grid, u_grid), 2e6),
     ):
         tracemalloc.start()
@@ -177,6 +204,67 @@ def test_grid_engine_rejects_empty_and_oversize_grids():
     u_grid = np.zeros(2**15 + 1)
     with pytest.raises(ValueError, match="too large to sweep"):
         _grid_max(a, t_grid, u_grid, [0.0])
+
+
+def test_grid_engine_rejects_overflowing_window_sums():
+    # finite values whose window integrals overflow are the error that
+    # best_window raises, not nan, and both routes refuse them before any
+    # block is swept
+    t_grid = [0.5, 1.0, 2.0]
+    u_grid = [0.0, 1.0, 2.0, 3.0]
+    for a in ([1e308, 1e308], [-1e308, 1e308], [6e307] * 3):
+        with pytest.raises(ValueError, match="window sums overflow"):
+            grid_max_unmodulated(a, t_grid, u_grid)
+        with pytest.raises(ValueError, match="window sums overflow"):
+            grid_max_modulated(a, t_grid, u_grid, _xi_grid(0.5))
+    # twice the absolute sum just fits: a finite max, with no warning, at
+    # the window [0, 2] over cell 1 and half of cell 2
+    a = [4e307, 4e307]
+    assert grid_max_unmodulated(a, t_grid, u_grid) == pytest.approx(6e307 / np.sqrt(2.0))
+    assert grid_max_modulated(a, t_grid, u_grid, _xi_grid(0.5)) == pytest.approx(
+        6e307 / np.sqrt(2.0)
+    )
+
+
+def test_row_peaks_stay_under_the_abs_ceiling():
+    # the premise of the pruning in _grid_max: by the triangle inequality,
+    # |int_window f exp(-2 pi i xi x)| <= int_window |f| for every xi, so no
+    # |xi| lifts a scale's row peak above that of |f| at xi = 0. The computed
+    # peaks can pass it by rounding, which the slack must cover
+    rng = np.random.default_rng(27)
+    for k in range(90):
+        n = int(rng.integers(1, 300)) if k % 6 == 0 else int(rng.integers(1, 13))
+        a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if k % 3 == 0:  # single-signed
+            a = np.abs(a) * rng.choice([-1.0, 1.0])
+        elif k % 3 == 1:  # alternating
+            a = np.abs(a) * (-1.0) ** np.arange(n)
+        if k % 5 == 0:
+            a = a + 1e6
+        t_grid = rng.uniform(0.05, n + 1.0, 7)
+        u_grid = rng.uniform(-1.0, n + 2.0, 9)
+        xis = np.unique(np.concatenate((np.abs(_xi_grid(0.05)), rng.uniform(0.0, 3.0, 4))))
+        slack = verify._SLACK * np.abs(a).sum()
+        ceiling = _row_peaks(np.abs(a), t_grid, u_grid, np.zeros(1)) + slack
+        assert np.all(_row_peaks(a, t_grid, u_grid, xis) <= ceiling)
+
+
+def test_pruning_sweeps_few_scales_at_every_frequency(monkeypatch):
+    # on theorem1's default grid (single-signed input, 41 |xi|) the ceiling
+    # pass covers every scale at xi = 0, and about one scale per trial is
+    # left for the sweep at every |xi|
+    swept = []
+    row_peaks = verify._row_peaks
+
+    def counting(a, t, u, xis):
+        if xis.size > 1:
+            swept.append(t.size)
+        return row_peaks(a, t, u, xis)
+
+    monkeypatch.setattr(verify, "_row_peaks", counting)
+    trials = 10
+    assert run_suite("theorem1", trials=trials, seed=0)["passed"]
+    assert trials <= sum(swept) <= 3 * trials
 
 
 def test_cumulative_at_minus_xi_is_the_conjugate():
