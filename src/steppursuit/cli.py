@@ -135,36 +135,31 @@ def read_csv_column(path: str, column: str) -> np.ndarray:
     return out
 
 
-def _float_array_pieces(a: np.ndarray):
-    """The elements of a 1-D finite float64 array as reprs, joined by json's
-    list separator, 4,096 elements at a time.
+def _reprs(chunk: np.ndarray) -> list[str]:
+    """The reprs of the elements of a non-empty 1-D int or float array, as
+    Python writes its ints and floats.
 
     A run of bitwise-equal elements gets one repr, which is then repeated, so
     a step function's few levels are formatted a few times, not once per
     cell. Comparing bits keeps -0.0 apart from 0.0.
     """
-    bits = a.view(np.int64)
-    for i in range(0, a.size, 4096):
-        b = bits[i : i + 4096]
-        starts = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
-        reprs = list(map(repr, a[i + starts].tolist()))
-        if len(reprs) < b.size:
-            reprs = np.repeat(np.array(reprs, dtype=object), np.diff(starts, append=b.size))
-        if i:
-            yield ",\n    "
-        yield ",\n    ".join(reprs)
+    bits = chunk.view(f"i{chunk.itemsize}")
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    reprs = list(map(repr, chunk[starts].tolist()))
+    if len(reprs) < chunk.size:
+        runs = np.diff(starts, append=chunk.size)
+        reprs = np.repeat(np.array(reprs, dtype=object), runs).tolist()
+    return reprs
 
 
 def _report_pieces(report: dict):
     """The text of `report_to_json`, as str pieces in order.
 
     With an indent, json encodes in pure Python, one element at a time. So
-    each top-level value is written on its own: a 1-D finite float64 array
-    and a list of ints and finite floats as their reprs, which is how json
-    writes them, and any other value, a non-finite float list included, by
-    json one level deeper, after `tolist()` for any other array. An array's
-    pieces are a few thousand elements long, so its text is never whole in
-    memory.
+    each top-level value is written on its own: a non-empty 1-D int64 or
+    finite float64 array as `_reprs` of 4,096 elements at a time, which is
+    how json writes them, so its text is never whole in memory, and any
+    other value by json one level deeper, after `tolist()` for an array.
     """
     if not report:
         yield "{}\n"
@@ -174,23 +169,16 @@ def _report_pieces(report: dict):
         yield sep + json.dumps(key) + ": "
         sep = ",\n  "
         if isinstance(v, np.ndarray):
-            if v.dtype == np.float64 and v.ndim == 1 and v.size and np.isfinite(v).all():
-                yield "[\n    "
-                yield from _float_array_pieces(v)
+            fast = v.dtype in (np.int64, np.float64) and v.ndim == 1 and v.size
+            if fast and np.isfinite(v).all():
+                item_sep = "[\n    "  # the first separator opens the list
+                for i in range(0, v.size, 4096):
+                    yield item_sep + ",\n    ".join(_reprs(v[i : i + 4096]))
+                    item_sep = ",\n    "
                 yield "\n  ]"
                 continue
             v = v.tolist()
-        body = None
-        if isinstance(v, (list, tuple)) and v and set(map(type, v)) <= {int, float}:
-            # a chunk at a time, so a long list's reprs are never all alive
-            body = ",\n    ".join(
-                [",\n    ".join(map(repr, v[i : i + 4096])) for i in range(0, len(v), 4096)]
-            )
-        # only inf and nan have an "n" in their repr; json writes Infinity, NaN
-        if body is not None and "n" not in body:
-            yield from ("[\n    ", body, "\n  ]")
-        else:
-            yield json.dumps(v, indent=2).replace("\n", "\n  ")
+        yield json.dumps(v, indent=2).replace("\n", "\n  ")
     yield "\n}\n"
 
 
@@ -247,52 +235,35 @@ def _fit(values: np.ndarray, args) -> tuple[PursuitConfig, GreedyExpansion, floa
     return config, expansion, time.perf_counter() - t0
 
 
-def _csv_pieces(header: str, format_rows, *columns: np.ndarray):
+def _csv_pieces(header: str, *columns: np.ndarray | None):
     """CSV text, as str pieces: the header line, then the rows 4,096 at a time.
 
-    `format_rows` takes (t, cell, ...) tuples, with t counting from 1 and one
-    cell from each column as a Python scalar, and returns the rows' lines.
+    Row t, counting from 1, holds t and then each column's element as its
+    repr. A None column leaves its cells empty; the first must not be None.
     """
     yield header
-    for i in range(0, len(columns[0]), 4096):
-        cells = (c[i : i + 4096].tolist() for c in columns)
-        yield "".join(format_rows(zip(itertools.count(i + 1), *cells)))
+    for i in range(0, columns[0].size, 4096):
+        cells = [itertools.repeat("") if c is None else _reprs(c[i : i + 4096]) for c in columns]
+        yield "\n".join(map(",".join, zip(map(str, itertools.count(i + 1)), *cells))) + "\n"
 
 
 def cmd_approx(args) -> int:
+    if args.plot_out == "-" and args.out in (None, "-"):
+        raise ValueError("the report and --plot-out - would both go to stdout; give --out a path")
     values = read_csv_column(args.input, args.column)
     config, expansion, seconds = _fit(values, args)
     report = expansion_report(args.input, config, expansion, seconds)
     _write_text(args.out, _report_pieces(report))
     if args.plot_out:
-        pieces = _csv_pieces(
-            "t,value,reconstruction\n",
-            lambda rows: [f"{t},{v!r},{r!r}\n" for t, v, r in rows],
-            values,
-            report["reconstruction"],
-        )
+        pieces = _csv_pieces("t,value,reconstruction\n", values, report["reconstruction"])
         _write_text(args.plot_out, pieces)
     return 0
 
 
 def cmd_simulate(args) -> int:
     out = run_preset(args.preset, args.T, args.seed)
-    header = "t,value,state,true_mean\n"
-    if out.states.size:
-        pieces = _csv_pieces(
-            header,
-            lambda rows: [f"{t},{v!r},{s},{m!r}\n" for t, v, s, m in rows],
-            out.values,
-            out.states,
-            out.true_means,
-        )
-    else:  # no hidden states: an empty state column
-        pieces = _csv_pieces(
-            header,
-            lambda rows: [f"{t},{v!r},,{m!r}\n" for t, v, m in rows],
-            out.values,
-            out.true_means,
-        )
+    states = out.states if out.states.size else None  # no hidden states: empty cells
+    pieces = _csv_pieces("t,value,state,true_mean\n", out.values, states, out.true_means)
     _write_text(args.out, pieces)
     return 0
 
@@ -312,8 +283,8 @@ def cmd_compare(args) -> int:
         "pursuit_mse": mse(rec, truth),
         "raw_mse": mse(values, truth),
         "kmeans_mse": mse(km_path, truth),
-        "kmeans_centers": [float(c) for c in centers],
-        "kmeans_assignments": [int(i) for i in assign],
+        "kmeans_centers": centers,
+        "kmeans_assignments": assign,
         "n_terms": len(expansion.terms),
         "breakpoints": breakpoints(rec),
         "residual_norm": expansion.norm_history[-1],

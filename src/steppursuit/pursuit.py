@@ -142,5 +142,6 @@ def breakpoints(rec: np.ndarray, threshold: float = 0.0) -> list[int]:
     Returns the indices j (1-based, boundary between cells j and j + 1) with
     |rec[j + 1] - rec[j]| strictly above the threshold.
     """
-    d = np.abs(np.diff(rec))
+    d = np.diff(rec)
+    np.abs(d, out=d)
     return [int(i) + 1 for i in np.nonzero(d > threshold)[0]]

@@ -292,6 +292,28 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, argv):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("report_out", [[], ["--out", "-"]])
+def test_plot_out_to_stdout_needs_a_report_path(tmp_path, capsys, report_out):
+    # the report and the CSV would share one stream: refused before the
+    # input is read, so a missing input is not what fails
+    p = tmp_path / "vals.csv"
+    write_csv(p, [[0.5], [2.0], [2.0]])
+    for src in (p, tmp_path / "missing.csv"):
+        assert main(["approx", str(src), "--column", "0", "--plot-out", "-", *report_out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the report and --plot-out - would both go to stdout; give --out a path\n"
+        )
+        assert captured.out == ""
+    # with the report in a file, the CSV alone goes to stdout
+    out = tmp_path / "rep.json"
+    assert main(["approx", str(p), "--column", "0", "--out", str(out), "--plot-out", "-"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "t,value,reconstruction" and len(rows) == 4
+    rec = json.loads(out.read_text())["reconstruction"]
+    assert rec == [float(r.split(",")[2]) for r in rows[1:]]
+
+
 def test_report_json_round_trip(tmp_path):
     p = tmp_path / "vals.csv"
     write_csv(p, [[x] for x in [0.3, -1.7, 2.2, 2.2, 0.1]])
@@ -384,15 +406,28 @@ _run_values = st.sampled_from(
 ) | st.floats()
 
 
+# int64 values of runs: zero, one and the extremes
+_int_run_values = st.sampled_from(
+    [0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63)]
+) | st.integers(-(2**63), 2**63 - 1)
+_run_lengths = st.integers(1, 3) | st.integers(4_000, 4_200)
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(_run_values, st.integers(1, 3) | st.integers(4_000, 4_200)), max_size=4))
-@example([(1.5, 4_095), (1.5, 2), (2.5, 1)])  # a run across the 4,096 boundary
-@example([(1.0, 2), (-0.0, 1), (0.0, 2), (-0.0, 1)])
-@example([(2.2250738585072014e-308, 3), (1e-310, 1), (1.7976931348623157e308, 2)])
-@example([(1.0, 4_096), (math.nan, 1)])  # non-finite past the first chunk
-def test_report_writer_matches_json_on_float_arrays(runs):
+@given(
+    st.lists(st.tuples(_run_values, _run_lengths), max_size=4),
+    st.lists(st.tuples(_int_run_values, _run_lengths), max_size=4),
+)
+# runs across the 4,096 boundary
+@example([(1.5, 4_095), (1.5, 2), (2.5, 1)], [(2**63 - 1, 4_095), (2**63 - 1, 2), (0, 1)])
+@example([(1.0, 2), (-0.0, 1), (0.0, 2), (-0.0, 1)], [(0, 2), (-(2**63 - 1), 1), (0, 3)])
+@example([(2.2250738585072014e-308, 3), (1e-310, 1), (1.7976931348623157e308, 2)], [])
+# non-finite past the first chunk
+@example([(1.0, 4_096), (math.nan, 1)], [(-1, 4_096), (-(2**63), 1)])
+def test_report_writer_matches_json_on_float_arrays(runs, int_runs):
     a = np.repeat(np.array([v for v, _ in runs], dtype=float), [n for _, n in runs])
-    for arr in (a, a[::3]):
+    i = np.repeat(np.array([v for v, _ in int_runs], dtype=np.int64), [n for _, n in int_runs])
+    for arr in (a, a[::3], i, i[::3], i[1::2]):
         want = json.dumps({"a": arr.tolist(), "b": 1}, indent=2) + "\n"
         assert report_to_json({"a": arr, "b": 1}) == want
 
@@ -497,6 +532,34 @@ def test_simulate_preset_draws_are_pinned(tmp_path, preset):
     out = tmp_path / "sim.csv"
     assert main(["simulate", preset, "--T", "64", "--seed", "0", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_DIGESTS[preset]
+
+
+# sha256 of the CSV bytes at T = 5000, past one 4,096-row chunk: the presets
+# with a state column and those whose state cells are empty, and the
+# `--plot-out` pairs, whose reconstruction is a few long runs
+CSV_DIGESTS = {
+    "sim1-3state": "fcd51e5733bcb395c86b680af4a6a7a6efe9a9cf574c9db91e95601869a9b60c",
+    "sim2-4state": "8cdc2c2c12c4656d5feabe5d9f4e8b678a307ef036ef9acda605b25e5c692e9f",
+    "normal-mean2": "9391d36d4d73660ba813cfb80c65d4e3ccb6e9163c486a2c8e423a1656dc8152",
+    "normal-std": "961c8cf6789a929d53d6ac969bb2e67475b403d2ea11f46368b76c0184f4e4aa",
+    "ar2": "c3f56f139b318ea3efea4aa2a587fbc737ac805857f89aa5bc7893c4a3ea22f5",
+    "kmeans-2state": "ea6abb913045a763271617e1b042e3455b6a161563ee0cc2a43a4aadb82382a1",
+    "approx --plot-out": "86829d8309ab8c18d4c3e8d50168aae602ed280087866fa95f11042081ddad2c",
+}
+
+
+def test_csv_bytes_are_pinned(tmp_path):
+    digests = {}
+    for preset in PRESET_DIGESTS:
+        out = tmp_path / f"{preset}.csv"
+        assert main(["simulate", preset, "--T", "5000", "--seed", "4", "--out", str(out)]) == 0
+        digests[preset] = hashlib.sha256(out.read_bytes()).hexdigest()
+    plot = tmp_path / "plot.csv"
+    argv = ["approx", str(tmp_path / "sim1-3state.csv"), "--max-iter", "10", "--shift", "10",
+            "--out", str(tmp_path / "r.json"), "--plot-out", str(plot)]
+    assert main(argv) == 0
+    digests["approx --plot-out"] = hashlib.sha256(plot.read_bytes()).hexdigest()
+    assert digests == CSV_DIGESTS
 
 
 def test_compare_pipeline(tmp_path):
