@@ -9,9 +9,11 @@ array itself is the step function; every layer passes it as-is.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["as_values", "l2_norm"]
+__all__ = ["as_values", "l2_norm", "sum_of_squares"]
 
 
 def as_values(seq) -> np.ndarray:
@@ -26,15 +28,21 @@ def as_values(seq) -> np.ndarray:
     return a
 
 
-def l2_norm(seq) -> float:
-    """L2 norm, sqrt(sum a_j^2).
+def sum_of_squares(a: np.ndarray) -> float:
+    """sum a_j^2 of a float array, by numpy's pairwise summation.
 
-    Raises ValueError when the sum of squares overflows (finite values of
-    magnitude above about 1e154), rather than returning inf.
+    Every sum of squares in the package comes here, so no result depends on
+    a BLAS library or its thread count. Raises ValueError when the sum
+    overflows (finite values of magnitude above about 1e154), rather than
+    returning inf.
     """
-    a = as_values(seq)
     with np.errstate(over="ignore"):
-        sq = np.dot(a, a)
+        sq = np.add.reduce(a * a)
     if not np.isfinite(sq):
         raise ValueError("squared values overflow")
-    return float(np.sqrt(sq))
+    return float(sq)
+
+
+def l2_norm(seq) -> float:
+    """L2 norm, sqrt(sum a_j^2); see sum_of_squares for overflow."""
+    return math.sqrt(sum_of_squares(as_values(seq)))

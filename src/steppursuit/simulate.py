@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import as_values
+from .core import as_values, sum_of_squares
 
 __all__ = ["SimulationOutput", "kmeans_1d", "mse", "PRESETS", "run_preset"]
 
@@ -103,7 +103,6 @@ def kmeans_1d(values, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
             break
         centers[i] = a[rng.choice(N, p=d2 / total)]
 
-    assign = np.zeros(N, dtype=int)
     for _ in range(300):
         assign = np.argmin(np.abs(a[:, None] - centers[None, :]), axis=1)
         new = centers.copy()
@@ -116,7 +115,8 @@ def kmeans_1d(values, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         if np.array_equal(new, centers):
             break
         centers = new
-    assign = np.argmin(np.abs(a[:, None] - centers[None, :]), axis=1)
+    else:  # the cap was hit: assign to the last centers
+        assign = np.argmin(np.abs(a[:, None] - centers[None, :]), axis=1)
     return centers, assign
 
 
@@ -126,8 +126,9 @@ def mse(x, y) -> float:
     yv = as_values(y)
     if xv.size != yv.size:
         raise ValueError("length mismatch")
-    d = xv - yv
-    return float(np.dot(d, d) / d.size)
+    with np.errstate(over="ignore"):  # an inf difference fails the sum's check
+        d = xv - yv
+    return sum_of_squares(d) / d.size
 
 
 # name -> (generator with its parameters bound, default T)

@@ -4,7 +4,10 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +206,24 @@ def test_approx_overflowing_squares(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: squared values overflow" in captured.err
     assert captured.out == ""
+
+
+def test_approx_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 20k values a threaded BLAS would split a dot product across threads
+    p = tmp_path / "noise.csv"
+    write_csv(p, ([v] for v in np.random.default_rng(0).standard_normal(20_000).tolist()),
+              header=["value"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"r{threads}.json"
+        subprocess.run([sys.executable, "-m", "steppursuit", "approx", str(p), "--max-iter", "10",
+                        "--out", str(out)], env=env, check=True, timeout=300)
+        text = out.read_text()
+        reports.append([line for line in text.splitlines() if '"timing_seconds": ' not in line])
+    assert reports[0] == reports[1]
 
 
 def test_verify_failure_exits_1(capsys):
@@ -574,6 +595,17 @@ def test_compare_pipeline(tmp_path):
     assert len(rep["kmeans_centers"]) == 2
     assert len(rep["kmeans_assignments"]) == 400
     assert rep["pursuit_mse"] < rep["raw_mse"]
+
+
+def test_compare_overflowing_squares(tmp_path, capsys):
+    # finite values and truths whose squared differences overflow: an input
+    # error and no report, not a report holding Infinity
+    p = tmp_path / "far.csv"
+    write_csv(p, [[1, -1e308], [2, 1e308], [3, 0]], header=["value", "true_mean"])
+    out = tmp_path / "cmp.json"
+    assert main(["compare", str(p), "--out", str(out)]) == 2
+    assert "error: squared values overflow" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_requires_true_mean(tmp_path):

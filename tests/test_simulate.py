@@ -137,6 +137,13 @@ def test_mse():
     assert mse([1.5], [1.5]) == 0.0
     with pytest.raises(ValueError, match="length"):
         mse([1, 2], [1])
+    assert mse([1.3e154, 0.0], [0.0, 0.0]) == pytest.approx(1.3e154 ** 2 / 2, rel=1e-15)
+    # an overflowing difference or sum of squares is an error, with no
+    # RuntimeWarning on the way (pytest turns one into a failure)
+    with pytest.raises(ValueError, match="squared values overflow"):
+        mse([1e308], [-1e308])
+    with pytest.raises(ValueError, match="squared values overflow"):
+        mse([1e155], [0.0])
 
 
 def test_presets_exist_with_expected_defaults():
