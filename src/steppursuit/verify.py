@@ -14,10 +14,8 @@ and holds it, so that fold halves it. With one |xi| (as in the unmodulated
 sweep) the integral is evaluated at every end directly; with more, once per
 distinct end and per |xi|, and the differences are gathered by index. The
 grid is swept a block of scales at a time, so its memory grows with the
-grid's side, not with its point count. With more than one |xi|, a ceiling
-per scale from |f| at xi = 0 (the triangle inequality, not the claim under
-test) leaves only the scales that can hold the max to the sweep over every
-|xi|.
+grid's side, not with its point count. A ceiling per scale (see
+`_grid_max`) leaves only the scales that can hold the max to the sweep.
 
 Sweeps:
   theorem2   grid max over unmodulated atoms is attained at the best
@@ -57,7 +55,7 @@ _ENERGY_ITERATIONS = 20
 # (t, u) points per block of the grid sweep, and the most points it sweeps
 _BLOCK = 1 << 14
 _MAX_POINTS = 1 << 31
-# slack of the |f| ceiling on a scale's row peak, relative to sum |a_j|
+# slack of the kink ceiling on a scale's row peak, relative to sum |a_j|
 _SLACK = 1e-9
 
 
@@ -86,7 +84,8 @@ def _cumulative(a: np.ndarray, xi: float, y: np.ndarray) -> np.ndarray:
 
 
 def _row_peaks(a: np.ndarray, t: np.ndarray, u: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Max of |<f, G_{t,xi,u}>| sqrt(t) over u and the |xi| in `xis`, per scale.
+    """Max of |<f, G_{t,xi,u}>| sqrt(t) over u and the |xi| in `xis`, per scale:
+    the sweep of the scales that `_grid_max`'s ceiling leaves.
 
     The t grid is walked a block of about `_BLOCK` (t, u) points at a time,
     so memory grows with the distinct window ends (linear in the grid's side
@@ -136,6 +135,28 @@ def _row_peaks(a: np.ndarray, t: np.ndarray, u: np.ndarray, xis: np.ndarray) -> 
     return peaks
 
 
+def _kink_peaks(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Max over every real u of |F(u + t/2) - F(u - t/2)|, per scale, where
+    F = `_cumulative(c, 0, .)`.
+
+    F integrates a step function, so at a fixed t the difference is piecewise
+    linear in u, with a kink where an end meets a cell boundary b_j: at the
+    windows [b_j - t, b_j] and [b_j, b_j + t]. Its largest modulus is at one
+    of those 2(N + 1) windows. The scales are walked a block of about
+    `_BLOCK` windows at a time.
+    """
+    b = np.arange(c.size + 1) + 0.5
+    f = _cumulative(c, 0.0, b)
+    rows = min(t.size, max(1, _BLOCK // (2 * b.size)))
+    peaks = np.empty(t.size)
+    for i in range(0, t.size, rows):
+        s = t[i : i + rows, None]
+        left = np.abs(f - _cumulative(c, 0.0, b - s)).max(axis=1)
+        right = np.abs(_cumulative(c, 0.0, b + s) - f).max(axis=1)
+        peaks[i : i + rows] = np.maximum(left, right)
+    return peaks
+
+
 def _grid_max(a: np.ndarray, t_grid, u_grid, xi_grid) -> float:
     """Max of |<f, G_{t,xi,u}>| over the (t, u, xi) grid.
 
@@ -148,18 +169,21 @@ def _grid_max(a: np.ndarray, t_grid, u_grid, xi_grid) -> float:
     once at the end: correctly rounded division by a positive number is
     monotone, so that max is bitwise the max of the quotients.
 
-    With more than one |xi| left, scales that cannot hold the max are not
-    swept. By the triangle inequality, |int_window f exp(-2 pi i xi x)| <=
-    int_window |f| for every xi, so the xi = 0 row peak of |f| bounds every
-    row peak of f. That is a bound on the integrals, not Theorem 1, which
-    the sweep tests. The computed peaks of f can pass the computed bound by
-    rounding (by at most 2.2e-16 sum|a_j| over 400 random inputs), so a
-    slack of `_SLACK` sum|a_j| is added before the division by sqrt(t). The
-    scale with the top ceiling is swept at every |xi| first; its max is a
-    grid value, so a lower bound on the answer. Then only the scales whose
-    ceiling reaches it are swept. A pruned scale's quotient is at most its
-    ceiling, which is below the max, so the result is bitwise that of the
-    full sweep. With one |xi| a ceiling pass would cost as much as the sweep.
+    Scales that cannot hold the max are not swept. A scale's ceiling is the
+    max of its window integral over every real centre, which `_kink_peaks`
+    finds at the windows with an end on a cell boundary: of f itself when
+    every |xi| is 0, and of |f| otherwise, since |int_window f exp(-2 pi i
+    xi x)| <= int_window |f| for every xi. That is elementary geometry, not
+    Theorem 1 or 2, which the sweep tests. The computed peaks can pass
+    the computed bound by rounding (by at most 4.2e-16 sum|a_j| over 600
+    random inputs), so a slack of `_SLACK` sum|a_j| is added before the
+    division by sqrt(t). The scale with the top ceiling is swept at every
+    |xi| first; its max is a grid value, so a lower bound on the answer.
+    Then only the scales whose ceiling reaches it are swept. A pruned
+    scale's quotient is at most its ceiling, which is below the max, so the
+    result is bitwise that of the full sweep. When a scale's 2(N + 1) kink
+    windows are at least as many as its centres times |xi|, the ceiling
+    would cost as much as the sweep, so every scale is swept.
 
     Raises ValueError when 2 sum|a_j| overflows: window integrals and their
     differences could then overflow to inf or nan.
@@ -178,9 +202,9 @@ def _grid_max(a: np.ndarray, t_grid, u_grid, xi_grid) -> float:
     if not math.isfinite(2.0 * mass):
         raise ValueError("window sums overflow")
     root = np.sqrt(t)
-    if xis.size == 1:
+    if 2 * (a.size + 1) >= u.size * xis.size:
         return float((_row_peaks(a, t, u, xis) / root).max())
-    ceiling = (_row_peaks(np.abs(a), t, u, np.zeros(1)) + _SLACK * mass) / root
+    ceiling = (_kink_peaks(a if xis[-1] == 0.0 else np.abs(a), t) + _SLACK * mass) / root
     top = int(np.argmax(ceiling))
     best = float(_row_peaks(a, t[top : top + 1], u, xis)[0] / root[top])
     keep = ceiling >= best

@@ -11,6 +11,7 @@ from steppursuit import verify
 from steppursuit.verify import (
     _cumulative,
     _grid_max,
+    _kink_peaks,
     _row_peaks,
     _steps,
     _xi_grid,
@@ -172,16 +173,24 @@ def test_grid_engine_memory_is_linear_in_the_grid_side():
     # and 41 distinct |xi|; buffers over the whole grid would take about 70
     # and 29 MB. On the positive input the |f| ceiling leaves about one scale
     # for the sweep at every |xi|; on the alternating one few scales are
-    # pruned, so the block sweep runs over nearly the whole grid
+    # pruned, so the block sweep runs over nearly the whole grid. On 500
+    # mixed-sign cells at grid step 1 the kink windows outnumber the
+    # centres: the unmodulated grid is swept directly, and the modulated one
+    # gets the kink ceiling over 0.5M windows, which would peak at 4.1 MB in
+    # one block
     a = np.random.default_rng(26).uniform(0.0, 1.0, 10)
     alternating = a * (-1.0) ** np.arange(10)
     t_grid = _steps(0.01, 11.0, 0.01)
     u_grid = _steps(0.0, 11.0, 0.01)
     xi_grid = _xi_grid(0.05)
+    mixed = np.random.default_rng(30).uniform(-1.0, 1.0, 500)
+    coarse = _steps(1.0, 501, 1.0)
     for run, limit in (
         (lambda: grid_max_modulated(a, t_grid, u_grid, xi_grid), 16e6),
         (lambda: grid_max_modulated(alternating, t_grid, u_grid, xi_grid), 16e6),
         (lambda: grid_max_unmodulated(a, t_grid, u_grid), 2e6),
+        (lambda: grid_max_unmodulated(mixed, coarse, coarse), 4e6),
+        (lambda: grid_max_modulated(mixed, coarse, coarse, xi_grid), 3.5e6),
     ):
         tracemalloc.start()
         try:
@@ -227,7 +236,7 @@ def test_grid_engine_rejects_overflowing_window_sums():
 
 
 def test_row_peaks_stay_under_the_abs_ceiling():
-    # the premise of the pruning in _grid_max: by the triangle inequality,
+    # half the premise of the pruning in _grid_max: by the triangle inequality,
     # |int_window f exp(-2 pi i xi x)| <= int_window |f| for every xi, so no
     # |xi| lifts a scale's row peak above that of |f| at xi = 0. The computed
     # peaks can pass it by rounding, which the slack must cover
@@ -249,22 +258,66 @@ def test_row_peaks_stay_under_the_abs_ceiling():
         assert np.all(_row_peaks(a, t_grid, u_grid, xis) <= ceiling)
 
 
-def test_pruning_sweeps_few_scales_at_every_frequency(monkeypatch):
-    # on theorem1's default grid (single-signed input, 41 |xi|) the ceiling
-    # pass covers every scale at xi = 0, and about one scale per trial is
-    # left for the sweep at every |xi|
+def test_row_peaks_stay_under_the_kink_ceiling():
+    # the premise of the pruning in _grid_max: at a fixed scale the window
+    # integral is piecewise linear in the centre, so no centre, on the grid
+    # or off it, beats the windows with an end on a cell boundary; that holds
+    # for f itself at xi = 0 and, with the triangle inequality, for |f| at
+    # every xi. The computed peaks can pass the kink max by rounding, which
+    # the slack must cover
+    rng = np.random.default_rng(29)
+    for k in range(90):
+        n = int(rng.integers(1, 301)) if k % 6 == 0 else int(rng.integers(1, 13))
+        a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if k % 3 == 0:  # single-signed
+            a = np.abs(a) * rng.choice([-1.0, 1.0])
+        elif k % 3 == 1:  # alternating
+            a = np.abs(a) * (-1.0) ** np.arange(n)
+        if k % 5 == 0:
+            a = a + 1e6
+        if k % 2 == 1:  # lattice: grid windows sit on the kinks
+            step = float(rng.choice([0.1, 0.25, 0.5]))
+            t_grid = _steps(step, n + 3.0, step)
+            u_grid = _steps(-2.0, n + 3.0, step)
+        else:  # scales past the support, centres outside it
+            t_grid = rng.uniform(0.05, n + 3.0, 7)
+            u_grid = rng.uniform(-2.0, n + 3.0, 9)
+        slack = verify._SLACK * np.abs(a).sum()
+        for f, xis in (
+            (a, np.zeros(1)),
+            (np.abs(a), np.array([0.5])),
+            (np.abs(a), np.unique(np.abs(_xi_grid(0.3)))),
+        ):
+            ceiling = _kink_peaks(f, t_grid) + slack
+            assert np.all(_row_peaks(a, t_grid, u_grid, xis) <= ceiling)
+
+
+def swept_scales(monkeypatch, suite, trials):
+    """The scales that `run_suite(suite)` at seed 0 sends to the sweep."""
     swept = []
     row_peaks = verify._row_peaks
 
     def counting(a, t, u, xis):
-        if xis.size > 1:
-            swept.append(t.size)
+        swept.append(t.size)
         return row_peaks(a, t, u, xis)
 
     monkeypatch.setattr(verify, "_row_peaks", counting)
+    assert run_suite(suite, trials=trials, seed=0)["passed"]
+    return sum(swept)
+
+
+def test_pruning_sweeps_few_scales_at_every_frequency(monkeypatch):
+    # on theorem1's default grid (single-signed input, 41 |xi|) about one
+    # scale per trial is left for the sweep at every |xi|
     trials = 10
-    assert run_suite("theorem1", trials=trials, seed=0)["passed"]
-    assert trials <= sum(swept) <= 3 * trials
+    assert trials <= swept_scales(monkeypatch, "theorem1", trials) <= 3 * trials
+
+
+def test_pruning_sweeps_few_scales_unmodulated(monkeypatch):
+    # theorem2's mixed-sign input at xi = 0: the kink ceiling of f itself
+    # leaves about one of a trial's hundreds of scales for the sweep
+    trials = 10
+    assert trials <= swept_scales(monkeypatch, "theorem2", trials) <= 3 * trials
 
 
 def test_cumulative_at_minus_xi_is_the_conjugate():
