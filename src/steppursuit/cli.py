@@ -18,10 +18,12 @@ import itertools
 import json
 import math
 import os
+import shutil
 import stat
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -97,41 +99,90 @@ def _column_index(first: list[str], column: str) -> tuple[int, bool]:
         return idx, True
 
 
-def read_csv_column(path: str, column: str) -> np.ndarray:
-    """One CSV column as a float64 array, parsed in a single pass over the file.
+def _check_rows(path: str, idx: int, skip: int) -> None:
+    """Raise the ValueError that names the first bad data row of a CSV file,
+    by its file line; return if no row is bad.
 
-    Blank lines are skipped, and error messages cite the file line. A UTF-8
-    byte-order mark is dropped; a file that is not UTF-8 raises
-    UnicodeDecodeError, a ValueError.
+    Rows start after `skip` lines and blank lines are skipped. A row is bad
+    when `csv` cannot parse it, when it has no cell `idx`, or when that cell
+    is not a number to `np.loadtxt`: `float()` of it fails, or it holds an
+    underscore or, past surrounding whitespace, a non-ASCII character. This
+    pass only explains a failed parse; it returns no values.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for _ in range(skip):
+            fh.readline()
+        reader = csv.reader(fh)
+        try:
+            for row in filter(None, reader):
+                if len(row) <= idx:
+                    raise ValueError(f"row {skip + reader.line_num}: missing column {idx}")
+                cell = row[idx].strip()
+                try:
+                    float(cell)
+                    number = cell.isascii() and "_" not in cell
+                except ValueError:
+                    number = False
+                if not number:
+                    raise ValueError(f"row {skip + reader.line_num}: not a number: {cell!r}")
+        except csv.Error as e:
+            # a malformed row, e.g. a field past csv.field_size_limit()
+            raise ValueError(f"row {skip + reader.line_num}: {e}") from None
+
+
+def read_csv_column(path: str, column: str) -> np.ndarray:
+    """One CSV column as a float64 array, parsed by `np.loadtxt`'s C reader.
+
+    The first non-blank row, read by `csv`, names the column or, when the
+    requested cell is a number, is the first data row. Blank lines are
+    skipped, and quoted cells are unquoted. A cell is parsed bit for bit as
+    `float()` parses it, but underscores and non-ASCII digits are not
+    numbers. A UTF-8 byte-order mark is dropped; a file that is not UTF-8
+    raises UnicodeDecodeError, a ValueError. When the parse fails, or gives
+    a non-finite value (a field too long for `csv` parses to inf),
+    `_check_rows` names the bad row by its file line. A pipe or a device is
+    read once, into a temporary regular copy that is then parsed.
     """
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            # the parse opens the file up to three times
+            with tempfile.TemporaryDirectory() as tmp:
+                copy = os.path.join(tmp, "input.csv")
+                with open(path, "rb") as src, open(copy, "wb") as dst:
+                    shutil.copyfileobj(src, dst)
+                return read_csv_column(copy, column)
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            rows = filter(None, reader)
-            first = next(rows, None)
-            if first is None:
+            skip = 0  # the lines before the first data row
+            for first in reader:
+                if first:
+                    break
+                skip = reader.line_num
+            else:
                 raise ValueError("empty input")
             idx, has_header = _column_index(first, column)
-            if not has_header:
-                rows = itertools.chain([first], rows)
+            if has_header:
+                skip = reader.line_num
+        with warnings.catch_warnings():
+            # a header and no rows is "empty input" below, with no warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
-                # the walrus leaves the failing cell in scope for the message
-                out = np.fromiter((float(cell := row[idx]) for row in rows), float)
-            except IndexError:
-                raise ValueError(f"row {reader.line_num}: missing column {idx}") from None
+                out = np.loadtxt(path, delimiter=",", usecols=idx, skiprows=skip, comments=None,
+                                 quotechar='"', encoding="utf-8-sig", ndmin=1)
             except UnicodeDecodeError:
                 raise  # a ValueError too, but not a bad cell
             except ValueError:
-                raise ValueError(
-                    f"row {reader.line_num}: not a number: {cell.strip()!r}"
-                ) from None
+                _check_rows(path, idx, skip)
+                raise
+        if not out.size:
+            raise ValueError("empty input")
+        if not np.isfinite(out).all():
+            _check_rows(path, idx, skip)
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e.strerror}") from e
     except csv.Error as e:
-        # a malformed row, e.g. a field past csv.field_size_limit()
+        # a malformed first row, e.g. a field past csv.field_size_limit()
         raise ValueError(f"row {reader.line_num}: {e}") from None
-    if not out.size:
-        raise ValueError("empty input")
     return out
 
 

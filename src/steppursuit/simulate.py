@@ -76,6 +76,23 @@ def _iid_normal(mean, variance, T, seed) -> SimulationOutput:
     return SimulationOutput(values, np.empty(0, dtype=int), np.full(T, float(mean)))
 
 
+def _nearest(a: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The index of each point's nearest center.
+
+    This is `np.argmin(np.abs(a[:, None] - centers), axis=1)` bit for bit,
+    the first index on ties included, from a running minimum over the
+    centers, so nothing is N×k.
+    """
+    best = np.abs(a - centers[0])
+    assign = np.zeros(a.size, dtype=np.intp)
+    d = np.empty_like(best)
+    for i in range(1, centers.size):
+        np.abs(np.subtract(a, centers[i], out=d), out=d)
+        np.copyto(assign, i, where=d < best)  # strict: a tie keeps the earlier center
+        np.minimum(best, d, out=best)
+    return assign
+
+
 def kmeans_1d(values, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm on scalars with k-means++ seeding.
 
@@ -95,8 +112,9 @@ def kmeans_1d(values, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
     centers = np.empty(k)
     centers[0] = a[rng.integers(N)]
+    d2 = np.full(N, np.inf)  # squared distance to the nearest center so far
     for i in range(1, k):
-        d2 = np.min((a[:, None] - centers[None, :i]) ** 2, axis=1)
+        np.minimum(d2, (a - centers[i - 1]) ** 2, out=d2)
         total = d2.sum()
         if total == 0.0:
             centers[i:] = centers[0]
@@ -104,7 +122,7 @@ def kmeans_1d(values, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         centers[i] = a[rng.choice(N, p=d2 / total)]
 
     for _ in range(300):
-        assign = np.argmin(np.abs(a[:, None] - centers[None, :]), axis=1)
+        assign = _nearest(a, centers)
         new = centers.copy()
         for i in range(k):
             sel = a[assign == i]
@@ -116,7 +134,7 @@ def kmeans_1d(values, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
             break
         centers = new
     else:  # the cap was hit: assign to the last centers
-        assign = np.argmin(np.abs(a[:, None] - centers[None, :]), axis=1)
+        assign = _nearest(a, centers)
     return centers, assign
 
 

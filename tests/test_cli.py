@@ -79,6 +79,111 @@ def test_read_csv_errors(tmp_path):
         read_csv_column(str(empty), "0")
 
 
+def test_read_csv_leading_blank_lines(tmp_path):
+    # blank lines before the header, or before a headerless first row, are
+    # skipped, and error messages still cite the file line
+    p = tmp_path / "blank.csv"
+    p.write_text("\n\nt,value\n1,1.5\n\n2,2.5\n")
+    assert read_csv_column(str(p), "value").tolist() == [1.5, 2.5]
+    p.write_text("\n\n\n4.0\n5.0\n")
+    assert read_csv_column(str(p), "0").tolist() == [4.0, 5.0]
+    p.write_text("\r\n\r\nvalue\r\n1.0\r\n\r\noops\r\n")
+    with pytest.raises(ValueError, match="row 6: not a number: 'oops'"):
+        read_csv_column(str(p), "value")
+    p.write_text("\n\n1.0\n2.0\nx\n")
+    with pytest.raises(ValueError, match="row 5: not a number: 'x'"):
+        read_csv_column(str(p), "0")
+
+
+def _run_cli(*argv, stdin=None):
+    """Run the CLI in a new process on this checkout's source."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "steppursuit", *argv], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_read_csv_from_a_pipe(tmp_path):
+    # a pipe can be read once: no row is lost to the header sniff, and an
+    # error still cites the file line
+    values = [i + 0.5 for i in range(3_000)]  # past one read buffer
+    rows = "".join(f"{v}\n" for v in values)
+    out = tmp_path / "r.json"
+    run = _run_cli("approx", "/dev/stdin", "--max-iter", "1", "--out", str(out),
+                   stdin=f"\nvalue\n{rows}")
+    assert (run.returncode, run.stderr) == (0, "")
+    report = json.loads(out.read_text())
+    back = np.add(report["residual"], report["reconstruction"])
+    assert back.shape == (3_000,) and np.max(np.abs(back - values)) < 1e-9
+    run = _run_cli("approx", "/dev/stdin", stdin=f"value\n{rows}x\n")
+    assert (run.returncode, run.stderr) == (2, "error: row 3002: not a number: 'x'\n")
+
+
+def test_header_only_file_is_empty_input(tmp_path):
+    # exit 2 with one line on stderr: no warning from the parser beside it
+    p = tmp_path / "header.csv"
+    p.write_text("\nt,value\n\n")
+    run = _run_cli("approx", str(p))
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: empty input\n")
+
+
+def _bits_to_float(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+number_cells = st.one_of(
+    st.floats().map(repr),
+    st.integers(0, 2**64 - 1).map(_bits_to_float).map(repr),  # subnormals and nan too
+    st.from_regex(r"[+-]?[0-9]{0,40}\.?[0-9]{1,40}([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.sampled_from(["-0.0", "+1.5", ".5", "5.", "1e309", "-1e-400", "4.9e-324",
+                     "2.2250738585072011e-308", "inf", "-Infinity", "NaN"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(st.sampled_from(["", " ", "\t "]), number_cells, st.sampled_from(["", " "]),
+                  st.booleans()),
+        min_size=1, max_size=30,
+    ),
+    header=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    bom=st.booleans(),
+)
+@example(cells=[("", "1e-5", "", False)], header=False, newline="\n", bom=False)
+def test_read_csv_column_parses_as_float_does(tmp_path_factory, cells, header, newline, bom):
+    # each cell parses to the bits float() gives it, quoted or not, with
+    # surrounding whitespace, CRLF line ends and a byte-order mark
+    texts = [lead + cell + trail for lead, cell, trail, _ in cells]
+    rows = [f'{i},"{t}"' if quoted else f"{i},{t}"
+            for i, (t, (*_, quoted)) in enumerate(zip(texts, cells))]
+    lines = (["t,value"] if header else []) + rows
+    p = tmp_path_factory.mktemp("prop") / "cells.csv"
+    p.write_bytes((b"\xef\xbb\xbf" if bom else b"") + newline.join(lines + [""]).encode())
+    got = read_csv_column(str(p), "value" if header else "1")
+    want = np.array([float(t) for t in texts])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("cell", ["1_000", "١٢"])  # "١٢": Arabic-Indic digits
+def test_cells_float_takes_but_the_reader_refuses_exit_2(tmp_path, capsys, cell):
+    # float() takes underscores and non-ASCII digits; the reader does not
+    p = tmp_path / "declared.csv"
+    p.write_text(f"value\n1.0\n\n{cell}\n", encoding="utf-8")
+    assert main(["approx", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: row 4: not a number: {cell!r}\n"
+
+
+def test_fields_past_the_csv_limit_parse(tmp_path):
+    # the reader has no field-size limit: a finite 200,000-character cell,
+    # and an oversized cell in a column that is not read, both parse
+    p = tmp_path / "long.csv"
+    p.write_text("note,value\nx,0." + "0" * 200_000 + "5\n" + "y" * 200_000 + ",2.5\n")
+    assert read_csv_column(str(p), "value").tolist() == [0.0, 2.5]
+
+
 # test_approx_plateau's report, less its "timing_seconds" line
 PLATEAU_REPORT = """{
   "input": %s,

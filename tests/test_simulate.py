@@ -5,6 +5,7 @@ from steppursuit.simulate import (
     PRESETS,
     _ar,
     _iid_normal,
+    _nearest,
     _regime,
     kmeans_1d,
     mse,
@@ -125,6 +126,42 @@ def test_kmeans_fixed_point():
                 assert centers[i] == pytest.approx(sel.mean(), abs=1e-12)
         nearest = np.argmin(np.abs(data[:, None] - centers[None, :]), axis=1)
         assert np.array_equal(nearest, assign)
+
+
+def _argmin_nearest(a, centers):
+    return np.argmin(np.abs(a[:, None] - centers[None, :]), axis=1)
+
+
+def test_nearest_center_is_argmin_bit_for_bit():
+    rng = np.random.default_rng(3)
+    cases = [
+        (rng.standard_normal(1_000), rng.standard_normal(7)),
+        # duplicate centers, -0.0 beside 0.0, and exact midpoints
+        (np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+         np.array([1.0, 0.0, -0.0, 1.0, 2.0, -1.0])),
+        # 1e16 - 0.5 and 1e16 - 1.0 round to the same float: the farther
+        # center 0.5 ties with the nearer 1.0 and, the first, wins
+        (np.array([1e16, 2.0**53, -1e16]), np.array([0.5, 1.0, 0.0])),
+    ]
+    for _ in range(300):
+        # small integer grids: many ties, on both sides and among equal centers
+        a = rng.integers(-6, 7, int(rng.integers(1, 40))) * 0.5
+        centers = rng.integers(-3, 4, int(rng.integers(1, 9))) * 1.0
+        centers[rng.random(centers.size) < 0.3] *= -0.0
+        cases.append((a, centers))
+    for a, centers in cases:
+        got, want = _nearest(a, centers), _argmin_nearest(a, centers)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (a, centers)
+    assert _nearest(np.array([1e16]), np.array([0.5, 1.0])).tolist() == [0]
+
+
+def test_kmeans_assignments_on_ties_are_argmin():
+    # midpoints between centers, repeated values and -0.0 beside 0.0
+    data = np.array([0.0, -0.0, 1.0, 2.0, 2.0, 1.0, 3.0, 4.0, 4.0, 2.0, -0.0])
+    for k in (2, 3, 4):
+        for seed in range(10):
+            centers, assign = kmeans_1d(data, k, seed=seed)
+            assert np.array_equal(assign, _argmin_nearest(data, centers))
 
 
 def test_kmeans_constant_data():
