@@ -1,6 +1,8 @@
 """The sweep engines themselves get cross-checked here at small sizes; the
 full-size runs live in the acceptance suite."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -144,6 +146,47 @@ def test_grid_engine_matches_sorted_reference_bitwise():
                     assert _grid_max(b, t_grid, u_grid, xi_grid) == sorted_grid_max(
                         b, t_grid, u_grid, xi_grid
                     )
+
+
+def test_frequency_ceiling_edge_cases_match_sorted_reference_bitwise():
+    # grids with more centres times |xi| than kink windows, so that the
+    # ceilings run: an all-zero input (0 over 0 at xi = 0 must not be
+    # computed), subnormal xi (2 pi |xi| is subnormal, and the ceiling must
+    # overflow to inf with no warning), a huge xi, grids without 0, the fine
+    # frequency grid, and alternating input, whose max sits at |xi| = 1/2,
+    # above every xi = 0 value, so that row must survive the pruning
+    rng = np.random.default_rng(32)
+    for k in range(4):
+        n = int(rng.integers(3, 9))
+        a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        alternating = rng.uniform(1.0, 1.1, n) * (-1.0) ** np.arange(n) * np.abs(a).max()
+        step = float(rng.choice([0.1, 0.25]))
+        u_grid = _steps(0.0, n + 1, step)
+        for t_grid in (_steps(step, n + 1, step), _steps(step, 1.0, step)):
+            for b, xi_grid in itertools.product(
+                (np.zeros(n), np.abs(a), a, alternating),
+                (
+                    [0.0, 0.5],
+                    [5e-324],
+                    [-1e-310, 0.0, 1e-310, 0.5],
+                    [1e300, 0.0],
+                    [1e300, 1.5],
+                    [-0.5, 0.5, 1.0],
+                ),
+            ):
+                assert _grid_max(b, t_grid, u_grid, xi_grid) == sorted_grid_max(
+                    b, t_grid, u_grid, xi_grid
+                )
+            # the reference takes all 801 xi of the fine grid: on the coarser
+            # lattice only, to keep it cheap
+            fine = _xi_grid(0.005)
+            for b in (np.abs(a), alternating) if step == 0.25 else ():
+                assert _grid_max(b, t_grid, u_grid, fine) == sorted_grid_max(
+                    b, t_grid, u_grid, fine
+                )
+            if t_grid[-1] > 1.0:
+                modulated = grid_max_modulated(alternating, t_grid, u_grid, _xi_grid(0.05))
+                assert modulated > grid_max_unmodulated(alternating, t_grid, u_grid)
 
 
 @pytest.mark.parametrize("block", ["1", "U - 1", "U", "U + 1", "3U + 1"])
@@ -292,13 +335,58 @@ def test_row_peaks_stay_under_the_kink_ceiling():
             assert np.all(_row_peaks(a, t_grid, u_grid, xis) <= ceiling)
 
 
-def swept_scales(monkeypatch, suite, trials):
-    """The scales that `run_suite(suite)` at seed 0 sends to the sweep."""
+def jump_lift(a, t_grid):
+    """2 max|a| plus the largest sum of min(ceil(t), N + 1) consecutive jumps
+    of f extended by 0, per scale: each window of jumps summed on its own."""
+    d = np.abs(np.diff(np.concatenate(([0.0], a, [0.0])))).tolist()
+    lift = {}
+    for k in {min(math.ceil(t), len(d)) for t in t_grid}:
+        jump = max(math.fsum(d[j : j + k]) for j in range(len(d) - k + 1))
+        lift[k] = 2.0 * float(np.abs(a).max()) + jump
+    return np.array([lift[min(math.ceil(t), len(d))] for t in t_grid])
+
+
+def test_row_peaks_stay_under_the_frequency_ceiling():
+    # the premise of the frequency pruning in _grid_max: summed by parts over
+    # the cells, a window integral at xi != 0 is at most |f| at its two ends
+    # plus the sizes of the jumps inside it, over 2 pi |xi|, and an open
+    # window of length t holds at most ceil(t) cell boundaries. Lattices with
+    # whole scales put the window ends on the boundaries, exactly (steps 0.25
+    # and 0.5) or a few ulps off them (step 0.1); the computed peaks can pass
+    # the ceiling by rounding, which the slack must cover
+    rng = np.random.default_rng(31)
+    for k in range(90):
+        n = int(rng.integers(1, 301)) if k % 6 == 0 else int(rng.integers(1, 13))
+        a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if k % 3 == 0:  # single-signed
+            a = np.abs(a) * rng.choice([-1.0, 1.0])
+        elif k % 3 == 1:  # alternating
+            a = np.abs(a) * (-1.0) ** np.arange(n)
+        if k % 5 == 0:
+            a = a + 1e6
+        if k % 2 == 1:  # lattice: whole scales end on the cell boundaries
+            step = float(rng.choice([0.1, 0.25, 0.5]))
+            t_grid = _steps(step, n + 3.0, step)
+            u_grid = _steps(-2.0, n + 3.0, step)
+        else:  # scales past the support, centres outside it
+            t_grid = rng.uniform(0.05, n + 3.0, 7)
+            u_grid = rng.uniform(-2.0, n + 3.0, 9)
+        slack = verify._SLACK * np.abs(a).sum()
+        xis = np.concatenate((np.abs(_xi_grid(0.5))[5:], rng.uniform(0.0, 3.0, 2), [1e3]))
+        lift = jump_lift(a, t_grid)
+        for xi in xis:
+            ceiling = lift / (2.0 * math.pi * xi) + slack
+            assert np.all(_row_peaks(a, t_grid, u_grid, np.array([xi])) <= ceiling)
+
+
+def swept_scales(monkeypatch, suite, trials, size=lambda t, xis: t.size):
+    """The scales that `run_suite(suite)` at seed 0 sends to the sweep, or
+    what else `size` counts of each call."""
     swept = []
     row_peaks = verify._row_peaks
 
     def counting(a, t, u, xis):
-        swept.append(t.size)
+        swept.append(size(t, xis))
         return row_peaks(a, t, u, xis)
 
     monkeypatch.setattr(verify, "_row_peaks", counting)
@@ -308,7 +396,8 @@ def swept_scales(monkeypatch, suite, trials):
 
 def test_pruning_sweeps_few_scales_at_every_frequency(monkeypatch):
     # on theorem1's default grid (single-signed input, 41 |xi|) about one
-    # scale per trial is left for the sweep at every |xi|
+    # scale per trial is left for the sweep; it is counted twice, as it is
+    # swept at xi = 0 first and then at the |xi| its frequency ceiling leaves
     trials = 10
     assert trials <= swept_scales(monkeypatch, "theorem1", trials) <= 3 * trials
 
@@ -318,6 +407,17 @@ def test_pruning_sweeps_few_scales_unmodulated(monkeypatch):
     # leaves about one of a trial's hundreds of scales for the sweep
     trials = 10
     assert trials <= swept_scales(monkeypatch, "theorem2", trials) <= 3 * trials
+
+
+def test_pruning_sweeps_few_frequencies(monkeypatch):
+    # the frequency ceiling leaves a few of the 41 |xi| of theorem1's and
+    # lemma1's default grid to the sweep of each scale: about 6 (scale, |xi|)
+    # rows per trial in theorem1 and 12 in lemma1, where an unpruned
+    # frequency axis sweeps 41
+    trials = 10
+    rows = lambda t, xis: t.size * xis.size
+    assert trials <= swept_scales(monkeypatch, "theorem1", trials, rows) <= 100
+    assert trials <= swept_scales(monkeypatch, "lemma1", trials, rows) <= 200
 
 
 def test_cumulative_at_minus_xi_is_the_conjugate():
