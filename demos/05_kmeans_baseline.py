@@ -16,7 +16,7 @@ from steppursuit import (
 
 out = run_preset("kmeans-2state", T=500, seed=4)
 
-centers, assign = kmeans_1d(out.values, 2, seed=4)
+centers, assign = kmeans_1d(out.values, 2)
 km_path = centers[assign]
 print(f"k-means centers: {sorted(round(c, 4) for c in centers.tolist())}  (true levels -0.2, +0.2)")
 print(f"k-means piecewise-mean MSE: {mse(km_path, out.true_means):.5f}")

@@ -325,12 +325,12 @@ def cmd_compare(args) -> int:
     config, expansion, seconds = _fit(values, args)
     rec = reconstruct(expansion)
 
-    centers, assign = kmeans_1d(values, args.k, args.seed)
+    centers, assign = kmeans_1d(values, args.k)
     km_path = centers[assign]
 
     report = {
         "input": args.input,
-        "config": {**asdict(config), "k": args.k, "seed": args.seed},
+        "config": {**asdict(config), "k": args.k},
         "pursuit_mse": mse(rec, truth),
         "raw_mse": mse(values, truth),
         "kmeans_mse": mse(km_path, truth),
@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="CSV with value and true_mean columns")
     _add_pursuit_flags(p, default_iter=21)
     p.add_argument("--k", type=int, default=2, help="number of k-means clusters")
-    p.add_argument("--seed", type=int, default=0, help="k-means seeding")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="run a numerical verification sweep")

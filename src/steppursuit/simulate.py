@@ -1,5 +1,5 @@
 """Synthetic sequences for exercising the pursuit: regime-switching Gaussians,
-autoregressions, iid noise, plus a small 1-D k-means used as a comparison
+autoregressions, iid noise, plus an exact 1-D k-means used as a comparison
 baseline. Every generator is deterministic given its seed and reports the
 conditional mean path alongside the values, so approximation error can be
 measured against the truth rather than the noise.
@@ -76,30 +76,36 @@ def _iid_normal(mean, variance, T, seed) -> SimulationOutput:
     return SimulationOutput(values, np.empty(0, dtype=int), np.full(T, float(mean)))
 
 
-def _nearest(a: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """The index of each point's nearest center.
+def kmeans_1d(values, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k-means on scalars: the k clusters of least within-cluster sum
+    of squares (SSE), by dynamic programming over the sorted values.
 
-    This is `np.argmin(np.abs(a[:, None] - centers), axis=1)` bit for bit,
-    the first index on ties included, from a running minimum over the
-    centers, so nothing is N×k.
-    """
-    best = np.abs(a - centers[0])
-    assign = np.zeros(a.size, dtype=np.intp)
-    d = np.empty_like(best)
-    for i in range(1, centers.size):
-        np.abs(np.subtract(a, centers[i], out=d), out=d)
-        np.copyto(assign, i, where=d < best)  # strict: a tie keeps the earlier center
-        np.minimum(best, d, out=best)
-    return assign
+    Returns (centers, assignments). Optimal clusters are runs of the sorted
+    values (Wang & Song, "Ckmeans.1d.dp", R Journal 3(2), 2011). With D_i(m)
+    the least SSE of the first m sorted values in i clusters,
 
+        D_i(m) = min over j of D_{i-1}(j) + SSE(x_j .. x_{m-1}),
 
-def kmeans_1d(values, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm on scalars with k-means++ seeding.
+    and the smallest minimising j never decreases as m grows, so each layer
+    is a divide and conquer over m, run breadth-first: O(N log N) per layer,
+    and the last layer needs only m = N. The smallest minimising j is kept,
+    so ties go to the smallest cut: [0, 1, 2] at k = 2 gives {0} and {1, 2}.
+    Equal values are split across clusters only when k exceeds the number of
+    distinct values, as [5, 5, 5] at k = 2 gives {5} and {5, 5}. The result
+    takes no seed and is deterministic. Centers are the means of their
+    slices of the sorted values, so they are ascending. Memory is the sort
+    plus (k - 1)(N + 1) indices for the backtrack.
 
-    Returns (centers, assignments). An emptied cluster is reseeded to the
-    point farthest from its current center. Converges to a fixed point:
-    centers are the means of their assigned points and each point is assigned
-    to its nearest center.
+    SSE comes from prefix sums of the values less their mean, which cancel
+    when a cluster's spread is tiny beside the data's, so a cut is optimal
+    only up to that rounding. Over the 300 inputs of the brute-force test
+    (ties, integers, a 1e6 offset) the prefix-sum SSE of the chosen
+    clustering is off its exact rational SSE by at most 3.5e-16 of the
+    data's total SSE (3.3e-13 of its own), and that exact SSE is the least
+    over all cut sets.
+
+    Raises ValueError when the squared values overflow (magnitudes above
+    about 1e154), rather than warning.
     """
     a = as_values(values)
     N = a.size
@@ -108,33 +114,56 @@ def kmeans_1d(values, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("k must be >= 1")
     if k > N:
         raise ValueError("more clusters than points")
-    rng = np.random.default_rng(seed)
+    sum_of_squares(a)  # raises on overflow; below it no SSE term can overflow
+    order = np.argsort(a, kind="stable")
+    x = a[order]
+    d = x - x.mean()
+    S = np.concatenate(([0.0], np.cumsum(d)))
+    Q = np.concatenate(([0.0], np.cumsum(d * d)))
 
-    centers = np.empty(k)
-    centers[0] = a[rng.integers(N)]
-    d2 = np.full(N, np.inf)  # squared distance to the nearest center so far
+    def sse(j, m):
+        """SSE of the sorted values j..m-1. s * (s / n) is at most
+        Q[m] - Q[j], where s * s could overflow."""
+        s = S[m] - S[j]
+        return Q[m] - Q[j] - s * (s / (m - j))
+
+    D = np.full(N + 1, np.inf)
+    D[1:] = sse(0, np.arange(1, N + 1))
+    back = np.empty((k - 1, N + 1), dtype=np.intp)
     for i in range(1, k):
-        np.minimum(d2, (a - centers[i - 1]) ** 2, out=d2)
-        total = d2.sum()
-        if total == 0.0:
-            centers[i:] = centers[0]
-            break
-        centers[i] = a[rng.choice(N, p=d2 / total)]
+        # the layer of i + 1 clusters, over m that leaves a point for each
+        # later cluster; the last layer needs only m = N
+        lo = N if i == k - 1 else i + 1
+        hi = N - k + i + 1
+        new = np.full(N + 1, np.inf)
+        # segments of m in [mlo, mhi] whose minimiser lies in [jlo, jhi]
+        mlo, mhi, jlo, jhi = [np.array([v]) for v in (lo, hi, i, hi - 1)]
+        while mlo.size:
+            mid = (mlo + mhi) // 2
+            n = np.minimum(jhi, mid - 1) - jlo + 1
+            starts = np.cumsum(n) - n
+            j = np.arange(starts[-1] + n[-1]) + np.repeat(jlo - starts, n)
+            v = D[j] + sse(j, np.repeat(mid, n))
+            best = np.minimum.reduceat(v, starts)
+            hit = np.flatnonzero(v == np.repeat(best, n))
+            opt = j[hit[np.searchsorted(hit, starts)]]  # the first minimiser
+            new[mid] = best
+            back[i - 1, mid] = opt
+            left, right = mid > mlo, mid < mhi
+            mlo, mhi, jlo, jhi = [
+                np.concatenate((p[left], q[right]))
+                for p, q in ((mlo, mid + 1), (mid - 1, mhi), (jlo, opt), (opt, jhi))
+            ]
+        D = new
 
-    for _ in range(300):
-        assign = _nearest(a, centers)
-        new = centers.copy()
-        for i in range(k):
-            sel = a[assign == i]
-            if sel.size:
-                new[i] = sel.mean()
-            else:
-                new[i] = a[np.argmax(np.abs(a - centers[assign]))]
-        if np.array_equal(new, centers):
-            break
-        centers = new
-    else:  # the cap was hit: assign to the last centers
-        assign = _nearest(a, centers)
+    cuts = [N]
+    for i in range(k - 2, -1, -1):
+        cuts.append(back[i, cuts[-1]])
+    cuts.append(0)
+    cuts.reverse()
+    centers = np.array([x[s:e].mean() for s, e in zip(cuts, cuts[1:])])
+    assign = np.empty(N, dtype=np.intp)
+    assign[order] = np.repeat(np.arange(k), np.diff(cuts))
     return centers, assign
 
 

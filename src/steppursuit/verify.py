@@ -216,10 +216,9 @@ def _grid_max(a: np.ndarray, t_grid, u_grid, xi_grid) -> float:
     reaches it are swept together, at xi = 0 and at the |xi| whose C, taken
     with their largest ceil(t) and smallest sqrt(t), reaches it. A pruned
     (scale, |xi|) row's quotients are at most its ceiling, which is below a
-    swept grid value, so the result is bitwise that of the full sweep. When
-    a scale's 2(N + 1) kink windows are at least as many as its centres
-    times |xi|, the ceiling would cost as much as the sweep, so every scale
-    is swept at every |xi|.
+    swept grid value, so the result is bitwise that of the full sweep. The
+    ceiling is taken on every grid, coarse ones too, where its 2(N + 1) kink
+    windows per scale can outnumber the centres times |xi| it spares.
 
     Raises ValueError when 2 sum|a_j| overflows: window integrals and their
     differences could then overflow to inf or nan.
@@ -238,8 +237,6 @@ def _grid_max(a: np.ndarray, t_grid, u_grid, xi_grid) -> float:
     if not math.isfinite(2.0 * mass):
         raise ValueError("window sums overflow")
     root = np.sqrt(t)
-    if 2 * (a.size + 1) >= u.size * xis.size:
-        return float((_row_peaks(a, t, u, xis) / root).max())
     ceiling = (_kink_peaks(a if xis[-1] == 0.0 else np.abs(a), t) + _SLACK * mass) / root
     zero = xis[: int(xis[0] == 0.0)]
     nonzero = xis[zero.size :]

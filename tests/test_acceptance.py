@@ -267,7 +267,7 @@ def test_criterion_13_kmeans_comparison():
         rec = reconstruct(exp)
         pursuit_mse = mse(rec, out.true_means)
 
-        centers, assign = kmeans_1d(out.values, 2, seed=seed)
+        centers, assign = kmeans_1d(out.values, 2)
         km_mse = mse(centers[assign], out.true_means)
         lo, hi = sorted(centers.tolist())
         center_errs.append(max(abs(lo - (-0.2)), abs(hi - 0.2)))

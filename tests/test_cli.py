@@ -692,7 +692,7 @@ def test_compare_pipeline(tmp_path):
     sim = tmp_path / "sim.csv"
     main(["simulate", "kmeans-2state", "--T", "400", "--seed", "3", "--out", str(sim)])
     out = tmp_path / "cmp.json"
-    code = main(["compare", str(sim), "--k", "2", "--seed", "0", "--out", str(out)])
+    code = main(["compare", str(sim), "--k", "2", "--out", str(out)])
     assert code == 0
     rep = json.loads(out.read_text())
     for key in ("pursuit_mse", "raw_mse", "kmeans_mse", "kmeans_centers", "kmeans_assignments"):
@@ -700,6 +700,10 @@ def test_compare_pipeline(tmp_path):
     assert len(rep["kmeans_centers"]) == 2
     assert len(rep["kmeans_assignments"]) == 400
     assert rep["pursuit_mse"] < rep["raw_mse"]
+    # the k-means baseline is exact and takes no seed
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(sim), "--seed", "0", "--out", str(out)])
+    assert exc.value.code == 2
 
 
 def test_compare_overflowing_squares(tmp_path, capsys):

@@ -218,9 +218,8 @@ def test_grid_engine_memory_is_linear_in_the_grid_side():
     # for the sweep at every |xi|; on the alternating one few scales are
     # pruned, so the block sweep runs over nearly the whole grid. On 500
     # mixed-sign cells at grid step 1 the kink windows outnumber the
-    # centres: the unmodulated grid is swept directly, and the modulated one
-    # gets the kink ceiling over 0.5M windows, which would peak at 4.1 MB in
-    # one block
+    # centres, and both grids get the kink ceiling over 0.5M windows, which
+    # would peak at 4.1 MB in one block
     a = np.random.default_rng(26).uniform(0.0, 1.0, 10)
     alternating = a * (-1.0) ** np.arange(10)
     t_grid = _steps(0.01, 11.0, 0.01)
